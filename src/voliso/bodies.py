@@ -10,6 +10,7 @@ All types are immutable values and all operations are pure functions.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -132,25 +133,41 @@ class VPolytope:
     """Convex hull of a vertex list, canonicalized to extreme points.
 
     The hull must be full-dimensional.  Vertices are reduced to the extreme
-    points and sorted lexicographically, so equal bodies compare equal.
+    points and sorted lexicographically, so equal bodies compare equal.  What
+    else the measures need is kept from that one hull: its volume and surface
+    area as qhull computes them (``_volume``, ``_area``) and its triangulated
+    boundary: ``_simplices`` indexes ``vertices`` and row i of ``_equations``
+    is [unit outward normal, offset] of simplex i, with normal.x + offset <= 0
+    inside.  The simplices of one facet share its row exactly.
     """
 
     vertices: np.ndarray
 
-    def __init__(self, vertices, canonicalize: bool = True):
+    def __init__(self, vertices):
         V = np.atleast_2d(np.asarray(vertices, dtype=float))
-        if V.shape[1] < 2:
+        n = V.shape[1]
+        if n < 2:
             raise ValueError("dimension must be >= 2")
-        if V.shape[0] < V.shape[1] + 1:
+        if V.shape[0] < n + 1:
             raise DegenerateBodyError("too few vertices for a full-dimensional body")
-        if canonicalize:
-            try:
-                hull = ConvexHull(V)
-            except QhullError as exc:
-                raise DegenerateBodyError(f"vertex set is not full-dimensional: {exc}") from exc
-            V = V[hull.vertices]
-            V = V[np.lexsort(V.T[::-1])]
-        object.__setattr__(self, "vertices", _readonly(V))
+        try:
+            hull = ConvexHull(V)
+        except QhullError as exc:
+            if np.linalg.matrix_rank(V - V.mean(axis=0)) < n:
+                raise DegenerateBodyError(
+                    f"vertex set is not full-dimensional: {exc}") from exc
+            raise DegenerateBodyError(f"qhull precision failure: {exc}") from exc
+        order = hull.vertices[np.lexsort(V[hull.vertices].T[::-1])]
+        # renumber the simplices' input indices to positions in ``order``
+        position = np.empty(len(V), dtype=np.intp)
+        position[order] = np.arange(len(order))
+        simplices = position[hull.simplices]
+        simplices.flags.writeable = False
+        object.__setattr__(self, "vertices", _readonly(V[order]))
+        object.__setattr__(self, "_simplices", simplices)
+        object.__setattr__(self, "_equations", _readonly(hull.equations))
+        object.__setattr__(self, "_volume", float(hull.volume))
+        object.__setattr__(self, "_area", float(hull.area))
 
     @property
     def dim(self) -> int:
@@ -159,6 +176,21 @@ class VPolytope:
     @property
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
+
+    @functools.cached_property
+    def _joggled_boundary(self):
+        """Simplices of the hull of ``vertices`` built from joggled input
+        (qhull's 'QJ'), each with the row of ``_equations`` of its facet.
+
+        qhull's triangulation of a facet merged from many coplanar pieces can
+        overlap itself (seen on 5-D and 6-D bodies); a joggled hull merges
+        nothing.  Its simplices lie in facets of the body, or are slivers of
+        zero volume, and each takes the facet closest to its own normal.
+        """
+        hull = ConvexHull(self.vertices, qhull_options="QJ")
+        facets = np.unique(self._equations, axis=0)
+        nearest = np.argmax(hull.equations[:, :-1] @ facets[:, :-1].T, axis=1)
+        return hull.simplices, facets[nearest]
 
     def contains(self, points, tol: float = 1e-9):
         return hrep_from_vrep(self).contains(points, tol=tol)
@@ -328,7 +360,7 @@ def apply_affine(body, T: AffineMap):
     raise TypeError(f"cannot apply affine map to {type(body).__name__}")
 
 
-def vrep_from_hrep(P: HPolytope, dedupe_tol: float = 1e-9) -> VPolytope:
+def vrep_from_hrep(P: HPolytope) -> VPolytope:
     """Enumerate the vertices of a bounded H-polytope (dimension <= 6)."""
     if P.dim > MAX_EXACT_DIM:
         raise ValueError(f"vertex enumeration limited to dimension {MAX_EXACT_DIM}")
@@ -338,23 +370,16 @@ def vrep_from_hrep(P: HPolytope, dedupe_tol: float = 1e-9) -> VPolytope:
         hs = HalfspaceIntersection(halfspaces, center)
     except QhullError as exc:
         raise DegenerateBodyError(f"vertex enumeration failed: {exc}") from exc
-    pts = hs.intersections
-    decimals = max(0, int(-math.log10(dedupe_tol)))
-    pts = np.unique(np.round(pts, decimals), axis=0)
-    return VPolytope(pts)
+    # qhull keeps one of any repeated intersection points as the vertex
+    return VPolytope(hs.intersections)
 
 
-def hrep_from_vrep(V: VPolytope, dedupe_tol: float = 1e-9) -> HPolytope:
+def hrep_from_vrep(V: VPolytope) -> HPolytope:
     """Facet description of the hull of a vertex list (origin must be interior)."""
     if V.dim > MAX_EXACT_DIM:
         raise ValueError(f"facet enumeration limited to dimension {MAX_EXACT_DIM}")
-    try:
-        hull = ConvexHull(V.vertices)
-    except QhullError as exc:
-        raise DegenerateBodyError(f"facet enumeration failed: {exc}") from exc
-    # qhull rows are [unit normal, offset] with normal.x + offset <= 0 inside
-    decimals = max(0, int(-math.log10(dedupe_tol)))
-    eqs = np.unique(np.round(hull.equations, decimals), axis=0)
+    # the simplices of one facet share its equation; keep one row per facet
+    eqs = np.unique(np.round(V._equations, 9), axis=0)
     return HPolytope(eqs[:, :-1], -eqs[:, -1], validate=False)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shapes
-from .bodies import (HPolytope, hrep_from_vrep, read_polytope,
+from .bodies import (HPolytope, apply_affine, hrep_from_vrep, read_polytope,
                      unit_ball_volume, vrep_from_hrep)
 from .brascamp_lieb import (BLSystem, Density1D, bl_ratio,
                             reverse_isoperimetric_constant,
@@ -115,7 +115,8 @@ def cmd_john(args) -> int:
     if not isinstance(body, HPolytope):
         body = hrep_from_vrep(body)
     ellipsoid, info = max_inscribed_ellipsoid(body, full_output=True)
-    image, transform = john_position(body)
+    transform = ellipsoid.as_map().inverse()
+    image = apply_affine(body, transform)
     contacts = contact_points(image)
     decomposition = john_decomposition(contacts, symmetric=args.symmetric)
     config = ExperimentConfig(command="john", source=args.input,

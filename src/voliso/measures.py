@@ -1,7 +1,11 @@
 """Exact and Monte Carlo measures: volume, surface area, shadows, Petty.
 
-Exact quantities come from a fan triangulation of the convex hull; Monte
-Carlo quantities are seeded, batched, and reported with standard errors.
+Every exact quantity of a VPolytope, for n = 2..6, comes from the one hull
+the body keeps: its volume and surface area as qhull computes them, and the
+areas a_i = n v_i / h_i of its boundary simplices (v_i the cone volume over
+simplex i from an interior point c, h_i the height of c over it), which give
+every shadow by Cauchy's projection formula.  Monte Carlo quantities are
+seeded, batched, and reported with standard errors.
 """
 from __future__ import annotations
 
@@ -50,49 +54,43 @@ class Estimate:
         return abs(self.value - other) <= sigmas * self.std_error
 
 
-def _triangulated_hull(V: VPolytope):
-    from scipy.spatial import ConvexHull
+def _simplex_areas(verts, simplices, equations):
+    """(n-1)-areas n v / h of boundary simplices, from their cone volumes v
+    and heights h over the vertex centroid, and their outward unit normals."""
+    n = verts.shape[1]
+    center = verts.mean(axis=0)
+    normals, offsets = equations[:, :-1], equations[:, -1]
+    cones = np.abs(np.linalg.det(verts[simplices] - center)) / math.factorial(n)
+    return n * cones / -(normals @ center + offsets), normals
 
-    return ConvexHull(V.vertices, qhull_options="Qt")
 
+def _boundary(V: VPolytope):
+    """Areas and outward unit normals of a triangulation of V's boundary.
 
-def _facet_areas_normals(V: VPolytope):
-    """(n-1)-areas and outward unit normals of the triangulated facets."""
-    hull = _triangulated_hull(V)
-    verts = V.vertices
-    n = V.dim
-    areas = np.empty(len(hull.simplices))
-    fact = math.factorial(n - 1)
-    for i, simplex in enumerate(hull.simplices):
-        edges = verts[simplex[1:]] - verts[simplex[0]]
-        gram = edges @ edges.T
-        areas[i] = math.sqrt(max(np.linalg.det(gram), 0.0)) / fact
-    normals = hull.equations[:, :-1]
+    It is the one V keeps, unless its areas do not add up to qhull's own
+    surface area: then qhull's triangulation overlaps itself, and a hull of
+    joggled vertices gives the simplices instead.
+    """
+    areas, normals = _simplex_areas(V.vertices, V._simplices, V._equations)
+    if abs(areas.sum() - V._area) > 1e-9 * V._area:
+        areas, normals = _simplex_areas(V.vertices, *V._joggled_boundary)
     return areas, normals
 
 
 def polytope_volume(V: VPolytope) -> float:
-    """Exact volume: fan triangulation from the vertex centroid."""
-    hull = _triangulated_hull(V)
-    verts = V.vertices
-    center = verts.mean(axis=0)
-    n = V.dim
-    total = 0.0
-    for simplex in hull.simplices:
-        total += abs(np.linalg.det(verts[simplex] - center))
-    return float(total) / math.factorial(n)
+    """Exact volume, as qhull computes it for V's hull."""
+    return V._volume
 
 
 def surface_area(V: VPolytope) -> float:
-    """Exact boundary measure: Gram-determinant areas of facet simplices."""
-    areas, _ = _facet_areas_normals(V)
-    return float(areas.sum())
+    """Exact boundary measure, as qhull computes it for V's hull."""
+    return V._area
 
 
 def isoperimetric_quotient(V: VPolytope) -> float:
     """surface_area / volume^((n-1)/n)."""
     n = V.dim
-    return surface_area(V) / polytope_volume(V) ** ((n - 1.0) / n)
+    return V._area / V._volume ** ((n - 1.0) / n)
 
 
 def mc_volume(body: BodyOracle, mc: McParams) -> Estimate:
@@ -109,69 +107,25 @@ def mc_volume(body: BodyOracle, mc: McParams) -> Estimate:
     return Estimate(box_volume * p, se, mc.sample_count)
 
 
-def projection_area(V: VPolytope, theta, mc: McParams | None = None):
+def projection_area(V: VPolytope, theta, mc: McParams | None = None) -> float:
     """(n-1)-volume of the shadow of V on the hyperplane orthogonal to theta.
 
-    Exact for n in {2, 3} (support width / area of the projected hull) and
-    returned as a float.  For n >= 4 a hit-or-miss estimate over the
-    projected bounding box is returned as an Estimate, which flags the
-    fallback; ``mc`` is required then.
+    Exact for n = 2..6 and always a float (for n = 2 it is the width of V
+    along the line orthogonal to theta).  ``mc`` is accepted and ignored.
     """
     theta = np.asarray(theta, dtype=float)
-    theta = theta / np.linalg.norm(theta)
-    n = V.dim
-    basis = _orthonormal_complement(theta)
-    shadow = V.vertices @ basis
-    if n == 2:
-        return float(shadow.max() - shadow.min())
-    if n == 3:
-        from scipy.spatial import ConvexHull
-
-        return float(ConvexHull(shadow).volume)
-    if mc is None:
-        raise ValueError("exact shadows need n in {2, 3}; pass mc for the "
-                         "Monte Carlo fallback")
-    return _shadow_mc(shadow, mc)
+    return float(_shadow_values(V, theta[None] / np.linalg.norm(theta))[0])
 
 
-def _orthonormal_complement(theta: np.ndarray) -> np.ndarray:
-    """Columns form an orthonormal basis of theta-perp."""
-    n = theta.size
-    u, s, _ = np.linalg.svd(np.eye(n) - np.outer(theta, theta))
-    return u[:, : n - 1]
-
-
-def _shadow_mc(shadow_vertices: np.ndarray, mc: McParams) -> Estimate:
-    """Hit-or-miss volume of conv(shadow_vertices) via LP membership."""
-    from scipy.optimize import linprog
-
-    k, d = shadow_vertices.shape
-    lo = shadow_vertices.min(axis=0)
-    hi = shadow_vertices.max(axis=0)
-    box = float(np.prod(hi - lo))
-    rng = rng_from_seed(mc.seed)
-    hits = 0
-    A_eq = np.vstack([shadow_vertices.T, np.ones(k)])
-    for size in batch_sizes(mc.sample_count, min(mc.batch, 4096)):
-        pts = rng.uniform(lo, hi, size=(size, d))
-        for x in pts:
-            res = linprog(np.zeros(k), A_eq=A_eq, b_eq=np.append(x, 1.0),
-                          bounds=[(0, None)] * k, method="highs")
-            hits += res.status == 0
-    p = hits / mc.sample_count
-    se = box * math.sqrt(max(p * (1.0 - p), 0.0) / mc.sample_count)
-    return Estimate(box * p, se, mc.sample_count)
+def _shadows(areas: np.ndarray, normals: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Cauchy's projection formula: the shadow along a unit theta is half
+    the facet areas weighted by |<facet normal, theta>|."""
+    return 0.5 * np.abs(thetas @ normals.T) @ areas
 
 
 def _shadow_values(V: VPolytope, thetas: np.ndarray) -> np.ndarray:
-    """Shadow areas for many directions at once.
-
-    Uses the projection identity for convex polytopes: the shadow along
-    theta is half the total facet area weighted by |<facet normal, theta>|.
-    Agrees with projection_area to round-off and costs one matmul.
-    """
-    areas, normals = _facet_areas_normals(V)
-    return 0.5 * np.abs(thetas @ normals.T) @ areas
+    """Exact shadow areas of V along many unit directions at once."""
+    return _shadows(*_boundary(V), thetas)
 
 
 def cauchy_surface_area(V: VPolytope, mc: McParams) -> Estimate:
@@ -181,11 +135,12 @@ def cauchy_surface_area(V: VPolytope, mc: McParams) -> Estimate:
     """
     n = V.dim
     factor = n * unit_ball_volume(n) / unit_ball_volume(n - 1)
+    areas, normals = _boundary(V)
     rng = rng_from_seed(mc.seed)
     acc = RunningMean()
     for size in batch_sizes(mc.sample_count, mc.batch):
         thetas = sphere_points(rng, size, n)
-        acc.add(_shadow_values(V, thetas))
+        acc.add(_shadows(areas, normals, thetas))
     return Estimate(factor * acc.mean, factor * acc.std_error, mc.sample_count)
 
 
@@ -197,12 +152,13 @@ def petty_functional(V: VPolytope, mc: McParams) -> Estimate:
     delta method applied to the inner spherical mean.
     """
     n = V.dim
-    vol = polytope_volume(V)
+    vol = V._volume
+    areas, normals = _boundary(V)
     rng = rng_from_seed(mc.seed)
     acc = RunningMean()
     for size in batch_sizes(mc.sample_count, mc.batch):
         thetas = sphere_points(rng, size, n)
-        acc.add(_shadow_values(V, thetas) ** (-float(n)))
+        acc.add(_shadows(areas, normals, thetas) ** (-float(n)))
     inner = acc.mean
     value = (vol ** (n - 1) * inner) ** (-1.0 / n)
     se = value * acc.std_error / (n * inner)

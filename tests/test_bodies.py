@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from voliso import (AffineMap, DegenerateBodyError, HPolytope, UnboundedBodyError,
                     VPolytope, apply_affine, hrep_from_vrep, polytope_from_dict,
-                    polytope_to_dict, read_polytope, unit_ball_volume,
-                    vrep_from_hrep, write_polytope)
+                    polytope_to_dict, polytope_volume, read_polytope,
+                    unit_ball_volume, vrep_from_hrep, write_polytope)
 from voliso.shapes import cube, cube_vertices, cross_polytope, random_polytope, regular_simplex
 
 
@@ -113,9 +113,18 @@ class TestConversions:
         pts = rng.uniform(-2.5, 2.5, size=(1000, n))
         assert np.array_equal(P.contains(pts, tol=1e-9), back.contains(pts, tol=1e-9))
 
+    @pytest.mark.parametrize("index", [3, 9])
+    def test_six_dim_enumeration(self, index):
+        # raw intersections hull fine; rounding them first made qhull fail
+        rng = np.random.default_rng(6)
+        P = [random_polytope(6, rng) for _ in range(index + 1)][index]
+        V = vrep_from_hrep(P)
+        assert np.all(P.contains(V.vertices, tol=1e-7))
+        assert polytope_volume(V) > 0.0
+
     def test_degenerate_rejected(self):
         flat = np.array([[0.0, 0], [1, 0], [2, 0], [3, 0]])
-        with pytest.raises(DegenerateBodyError):
+        with pytest.raises(DegenerateBodyError, match="not full-dimensional"):
             VPolytope(flat)
 
     def test_unbounded_rejected(self):

@@ -42,6 +42,32 @@ class TestExactMeasures:
         shuffled = VPolytope(verts[rng.permutation(len(verts))])
         assert polytope_volume(shuffled) == pytest.approx(8.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_moved_cube_measures(self, n):
+        # rotated and shifted cube of side 2w: |K| = (2w)^n, |dK| = 2n (2w)^(n-1)
+        rng = np.random.default_rng(n)
+        w = 0.7
+        Q = random_rotation(n, rng)
+        moved = VPolytope(cube_vertices(n, w).vertices @ Q.T + rng.standard_normal(n))
+        assert polytope_volume(moved) == pytest.approx((2 * w) ** n, rel=1e-12)
+        assert surface_area(moved) == pytest.approx(2 * n * (2 * w) ** (n - 1), rel=1e-12)
+
+    @pytest.mark.parametrize("n, seed", [(3, 43), (4, 44), (5, 45), (6, 46)])
+    def test_random_body_matches_facet_sum(self, n, seed):
+        # reference from the H-representation: |F_i| is the hull of facet i's
+        # vertices in its plane, |dK| = sum |F_i| and |K| = (1/n) sum b_i |F_i|;
+        # qhull's triangulation of the seed-46 body overlaps itself
+        P = random_polytope(n, np.random.default_rng(seed))
+        body = vrep_from_hrep(P)
+        facets = []
+        for normal, offset in zip(P.normals, P.offsets):
+            on = body.vertices[np.abs(body.vertices @ normal - offset) < 1e-9]
+            full = len(on) >= n and np.linalg.matrix_rank(on[1:] - on[0]) == n - 1
+            facets.append(_projected_hull_volume(on, normal) if full else 0.0)
+        facets = np.array(facets)
+        assert surface_area(body) == pytest.approx(facets.sum(), rel=1e-9)
+        assert polytope_volume(body) == pytest.approx(P.offsets @ facets / n, rel=1e-9)
+
     def test_cube_surface(self):
         assert surface_area(cube_vertices(3)) == pytest.approx(24.0, abs=1e-10)
 
@@ -131,14 +157,30 @@ class TestProjections:
         assert projection_area(cube_vertices(2), diag) == pytest.approx(
             2 * math.sqrt(2), abs=1e-12)
 
-    def test_dim4_requires_mc(self):
-        with pytest.raises(ValueError):
-            projection_area(cube_vertices(4), [0, 0, 0, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_cube_shadow_closed_form(self, n):
+        # each facet pair of cube(n) casts 2^(n-1) |theta_k|
+        rng = np.random.default_rng(20 + n)
+        theta = rng.standard_normal(n)
+        theta /= np.linalg.norm(theta)
+        shadow = projection_area(cube_vertices(n), theta)
+        assert isinstance(shadow, float)
+        assert shadow == pytest.approx(2.0 ** (n - 1) * np.abs(theta).sum(), rel=1e-12)
 
-    def test_dim4_mc_fallback_flagged(self):
-        est = projection_area(cube_vertices(4), [0, 0, 0, 1.0], McParams(4000, seed=5))
-        assert isinstance(est, Estimate)   # the Estimate type flags the fallback
-        assert est.agrees_with(8.0)
+    def test_mc_argument_ignored(self):
+        theta = [0, 0, 0, 1.0]
+        assert projection_area(cube_vertices(4), theta, McParams(4000, seed=5)) == \
+            projection_area(cube_vertices(4), theta) == pytest.approx(8.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n, seed", [(3, 33), (4, 34), (5, 35), (6, 36), (6, 46)])
+    def test_shadow_matches_projected_hull(self, n, seed):
+        rng = np.random.default_rng(seed)
+        body = vrep_from_hrep(random_polytope(n, rng))
+        for _ in range(3):
+            theta = rng.standard_normal(n)
+            theta /= np.linalg.norm(theta)
+            expected = _projected_hull_volume(body.vertices, theta)
+            assert projection_area(body, theta) == pytest.approx(expected, rel=1e-9)
 
     def test_shadow_formula_matches_hull_area(self):
         # facet-sum identity used by the spherical averages
@@ -149,8 +191,17 @@ class TestProjections:
         thetas = rng.standard_normal((20, 3))
         thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
         fast = _shadow_values(body, thetas)
-        slow = [projection_area(body, theta) for theta in thetas]
+        slow = [_projected_hull_volume(body.vertices, theta) for theta in thetas]
         assert np.allclose(fast, slow, atol=1e-9)
+
+
+def _projected_hull_volume(points, theta):
+    """(n-1)-volume of the hull of the points projected on theta-perp."""
+    from scipy.spatial import ConvexHull
+
+    n = theta.size
+    basis = np.linalg.svd(np.eye(n) - np.outer(theta, theta))[0][:, : n - 1]
+    return ConvexHull(points @ basis).volume
 
 
 class TestCauchyFormula:
