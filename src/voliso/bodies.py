@@ -24,6 +24,7 @@ from .errors import DegenerateBodyError, UnboundedBodyError
 MAX_EXACT_DIM = 6
 
 _SYM_TOL = 1e-12
+_ORIGIN_DEPTH = 0.1   # least min/max offset ratio at which qhull starts from the origin
 
 
 def _readonly(a):
@@ -361,13 +362,32 @@ def apply_affine(body, T: AffineMap):
 
 
 def vrep_from_hrep(P: HPolytope) -> VPolytope:
-    """Enumerate the vertices of a bounded H-polytope (dimension <= 6)."""
+    """Enumerate the vertices of a bounded H-polytope (dimension <= 6).
+
+    qhull needs a strictly interior point and divides by its depth below
+    each facet plane.  Every HPolytope has the origin inside, so the origin
+    serves, without an LP, when it is at least a tenth as deep as the
+    farthest facet plane (always true in John position, where the depths
+    lie between 1 and n); otherwise the Chebyshev center is solved for.
+    Whether qhull can hull vertices that lie in many exactly coplanar
+    groups turns on their last bits, which depend on the interior point;
+    so when the vertices found from the origin fail, those found from the
+    Chebyshev center are tried.
+    """
     if P.dim > MAX_EXACT_DIM:
         raise ValueError(f"vertex enumeration limited to dimension {MAX_EXACT_DIM}")
-    center, radius = chebyshev_center(P.normals, P.offsets)
+    if P.offsets.min() >= _ORIGIN_DEPTH * P.offsets.max():
+        try:
+            return _vertices_from(P, np.zeros(P.dim))
+        except DegenerateBodyError:
+            pass
+    return _vertices_from(P, chebyshev_center(P.normals, P.offsets)[0])
+
+
+def _vertices_from(P: HPolytope, interior) -> VPolytope:
     halfspaces = np.hstack([P.normals, -P.offsets[:, None]])
     try:
-        hs = HalfspaceIntersection(halfspaces, center)
+        hs = HalfspaceIntersection(halfspaces, interior)
     except QhullError as exc:
         raise DegenerateBodyError(f"vertex enumeration failed: {exc}") from exc
     # qhull keeps one of any repeated intersection points as the vertex

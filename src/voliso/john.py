@@ -6,11 +6,24 @@ one per facet.  It follows the central path of the log-barrier
 
     Phi_t(B, d) = -t log det B - sum_i log((b_i - <a_i, d>)^2 - |B a_i|^2)
 
-with damped Newton steps; each barrier stage multiplies t by a fixed factor
-until the duality gap 2m/t is below tolerance.  A body is in John position
-when its maximal inscribed ellipsoid is the unit ball; contact points are
-then the facet normals at unit distance, and nonnegative weights solving
-sum c_i u_i (x) u_i = I certify optimality.
+(Boyd & Vandenberghe, Convex Optimization, 11.3-11.5).  The solve starts
+from the ball of radius 0.9 min(b) about the origin, which every HPolytope
+holds, so it needs no LP.  Each barrier stage re-centres with damped Newton
+steps until the Newton decrement is below tolerance, then multiplies t by a
+fixed factor.  Between stages a predictor steps along the tangent of the
+central path (Nesterov & Nemirovskii, Interior-Point Polynomial Algorithms
+in Convex Programming, 1994), taken linear in 1/t:
+d theta = -(1 - 1/mu) t H^-1 grad f0 with f0 = -log det B and H the
+stage's last Hessian, halved until it lowers Phi at the new t.
+
+The stop is certified: once the duality gap 2m/t is below tolerance, the
+KKT residual of the iterate must be small too.  Stages go on while it is
+above 1e-8 (down to a gap of 1e-13), and a result whose residual is above
+1e-6 raises SolverError instead of being returned.
+
+A body is in John position when its maximal inscribed ellipsoid is the
+unit ball; contact points are then the facet normals at unit distance, and
+nonnegative weights solving sum c_i u_i (x) u_i = I certify optimality.
 """
 from __future__ import annotations
 
@@ -20,15 +33,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import nnls
 
-from .bodies import (Ellipsoid, HPolytope, apply_affine, chebyshev_center,
-                     vrep_from_hrep)
+from .bodies import Ellipsoid, HPolytope, apply_affine, vrep_from_hrep
 from .errors import InfeasibleDecompositionError, NotJohnPositionError, SolverError
 
 _GAP_TOL = 1e-10
 _DECREMENT_TOL = 1e-13     # on lambda^2 / 2, the Newton suboptimality estimate
 _MAX_NEWTON = 200
 _T_FACTOR = 20.0
-_STAGE_CAP = 25
+_PREDICTOR_MIN = 1e-3      # smallest fraction of the tangent step tried
+_KKT_TARGET = 1e-8         # KKT residual the stages aim for ...
+_GAP_FLOOR = 1e-13         # ... until the duality gap is this small
+_KKT_TOL = 1e-6            # largest KKT residual of a returned ellipsoid
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +120,13 @@ def _sym_index(n: int) -> _SymIndex:
 
 @dataclass
 class SolveInfo:
-    """Diagnostics of one inscribed-ellipsoid solve."""
+    """Diagnostics of one inscribed-ellipsoid solve.
+
+    ``stages`` counts barrier stages (one entry of ``det_trace`` each) and
+    ``value_evaluations`` the evaluations of the barrier value, line-search
+    and predictor trials included.  A returned solve has converged, so
+    ``converged`` is always True; a failed one raises SolverError.
+    """
 
     newton_iterations: int
     duality_gap: float
@@ -113,6 +134,8 @@ class SolveInfo:
     kkt_residual: float
     det_trace: list = field(default_factory=list)
     converged: bool = True
+    stages: int = 0
+    value_evaluations: int = 0
 
 
 def _barrier_value(sym, A, b, theta, t):
@@ -132,34 +155,37 @@ def _barrier_value(sym, A, b, theta, t):
     return -t * logdet - float(np.log(g).sum()), logdet, B, d, s, V, g
 
 
-def _barrier_state(sym, A, b, theta, t):
-    """Value, gradient, Hessian of Phi_t; None when theta is infeasible."""
+def _barrier_state(sym, A, b, point, t):
+    """Gradient and Hessian of Phi_t, and the gradient of f0 = -log det B,
+    at a feasible point as _barrier_value returns it."""
     q = sym.q
-    cheap = _barrier_value(sym, A, b, theta, t)
-    if cheap is None:
-        return None
-    value, logdet, B, d, s, V, g = cheap
+    _, _, B, d, s, V, g = point
 
     Binv = np.linalg.inv(B)
     inv_g = 1.0 / g
     # packed sym(v a^T) per constraint, and the gradient
     P1 = sym.pair_products(V, A)
-    grad = np.empty(theta.size)
-    grad[:q] = -t * sym.from_matrix_grad(Binv) + 2.0 * inv_g @ P1
+    size = q + A.shape[1]
+    grad = np.empty(size)
+    grad0 = np.zeros(size)                # gradient of f0 = -log det B
+    grad0[:q] = -sym.from_matrix_grad(Binv)
+    grad[:q] = t * grad0[:q] + 2.0 * inv_g @ P1
     grad[q:] = A.T @ (2.0 * s * inv_g)
 
     # Hessian: t (Binv kron Binv) on the B-block, plus per constraint
     # (1/g^2) w w^T - (1/g) Hess(g); Hess(g) has B-block -2 Jv^T Jv
     # (assembled from the cached curvature tensor) and d-block 2 a a^T
-    H = np.zeros((theta.size, theta.size))
-    H[:q, :q] = t * (sym.dup.T @ np.kron(Binv, Binv) @ sym.dup)
+    H = np.zeros((size, size))
+    n = B.shape[0]
+    kron = np.multiply.outer(Binv, Binv).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    H[:q, :q] = t * (sym.dup.T @ kron @ sym.dup)
     W = np.hstack([-2.0 * P1, -2.0 * s[:, None] * A])   # grad of g, row per i
     Wg = W * inv_g[:, None]
     H += Wg.T @ Wg
     S2 = (A * (2.0 * inv_g)[:, None]).T @ A             # sum (2/g) a a^T
     H[:q, :q] += np.einsum("abrs,rs->ab", sym.curvature, S2)
     H[q:, q:] -= S2
-    return value, grad, H, logdet
+    return grad, H, grad0
 
 
 def _kkt_certificate(A, b, B, d, eps_contact):
@@ -193,83 +219,124 @@ def _kkt_certificate(A, b, B, d, eps_contact):
     return max(resid, comp, violation), violation
 
 
+def _newton_step(H, grad, grad0):
+    """Newton step -H^-1 grad, lambda^2 = grad . H^-1 grad, and H^-1 grad0.
+
+    A singular H, or a lambda^2 that is not positive (H numerically
+    indefinite), gets one retry with H + 1e-12 tr(H) I; if that fails too
+    the solve cannot go on and SolverError is raised.
+    """
+    rhs = np.column_stack([grad, grad0])
+    matrix = H
+    for _ in range(2):
+        try:
+            sol = np.linalg.solve(matrix, rhs)
+            dec2 = float(grad @ sol[:, 0])
+        except np.linalg.LinAlgError:
+            dec2 = math.nan
+        if dec2 > 0.0:            # False for NaN as well
+            return -sol[:, 0], dec2, sol[:, 1]
+        matrix = H + 1e-12 * np.trace(H) * np.eye(H.shape[0])
+    raise SolverError(f"Newton system is singular or indefinite "
+                      f"(squared decrement {dec2:.3e})")
+
+
 def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     """Ellipsoid of maximal volume inside a bounded H-polytope.
 
     Returns the unique maximizer of det B over symmetric positive-definite
     B and center d with |B a_i| + <a_i, d> <= b_i for every facet.  With
     ``full_output=True`` also returns a SolveInfo carrying the KKT residual,
-    duality gap, and the per-stage determinant trace (non-decreasing).
+    duality gap, iteration counts and the per-stage determinant trace
+    (non-decreasing).
 
-    Raises SolverError if the Newton iteration cap is exhausted before the
-    duality gap closes.
+    The solve needs no LP: the origin is interior at depth min(b), so it
+    starts from (B, d) = (0.9 min(b) I, 0).  Between barrier stages it
+    steps along the central-path tangent (see the module docstring) and
+    then re-centres with damped Newton steps.
+
+    Raises SolverError, and returns no ellipsoid, when the duality gap
+    does not close within the Newton iteration cap, when a Newton system
+    is singular or indefinite even after regularisation, or when the KKT
+    residual of the result is above 1e-6.
     """
     A, b = P.normals, P.offsets
     m, n = A.shape
     sym = _sym_index(n)
     q = sym.q
 
-    center, radius = chebyshev_center(A, b)
     theta = np.zeros(q + n)
-    theta[:q][sym.diag] = 0.9 * radius
-    theta[q:] = center
-
+    theta[:q][sym.diag] = 0.9 * float(b.min())
     t = 1.0
-    iterations = 0
+    point = _barrier_value(sym, A, b, theta, t)
+    eps_contact = 1e-6 * float(b.max())
+    iterations = stages = 0
+    evaluations = 1
     decrement = math.inf
     det_trace = []
-    logdet = -math.inf
     while True:
-        for _ in range(_STAGE_CAP):
-            state = _barrier_state(sym, A, b, theta, t)
-            if state is None:
-                raise SolverError("iterate left the feasible region")
-            value, grad, H, logdet = state
-            try:
-                step = -np.linalg.solve(H, grad)
-            except np.linalg.LinAlgError:
-                step = -np.linalg.solve(
-                    H + 1e-12 * np.trace(H) * np.eye(H.shape[0]), grad)
-            dec2 = float(-grad @ step)
-            decrement = math.sqrt(max(dec2, 0.0))
+        stages += 1
+        while True:
+            value = point[0]
+            grad, H, grad0 = _barrier_state(sym, A, b, point, t)
+            step, dec2, tangent = _newton_step(H, grad, grad0)
+            decrement = math.sqrt(dec2)
             iterations += 1
             if dec2 / 2.0 <= _DECREMENT_TOL or iterations > _MAX_NEWTON:
                 break
-            slope = float(grad @ step)
+            slope = -dec2
             alpha = 1.0
             accepted = False
             while alpha > 1e-13:
                 trial = theta + alpha * step
                 cand = _barrier_value(sym, A, b, trial, t)
+                evaluations += 1
                 if cand is not None and cand[0] <= value + 0.25 * alpha * slope:
-                    theta = trial
+                    theta, point = trial, cand
                     progress = value - cand[0]
                     accepted = True
                     break
                 alpha *= 0.5
             if not accepted or progress <= 1e-13 * (1.0 + abs(value)):
                 break   # numerical noise floor for this stage
-        det_trace.append(math.exp(logdet))
+        det_trace.append(math.exp(point[1]))
         gap = 2.0 * m / t
         if gap <= _GAP_TOL or iterations >= _MAX_NEWTON:
-            break
-        t *= _T_FACTOR
+            B, d = sym.to_matrix(theta[:q]), theta[q:]
+            kkt, violation = _kkt_certificate(A, b, B, d, eps_contact)
+            # facets just off the optimum keep multipliers ~ 1/(t slack), so
+            # past the gap tolerance the stages go on while the certificate
+            # is above _KKT_TARGET, down to a duality gap of _GAP_FLOOR
+            if kkt <= _KKT_TARGET or gap <= _GAP_FLOOR or iterations >= _MAX_NEWTON:
+                break
+        # predictor: the centre theta(t) moves about linearly in 1/t, with
+        # d theta / d(1/t) = t^2 H^-1 grad f0, f0 = -log det B
+        t_next = t * _T_FACTOR
+        tangent *= -(1.0 - 1.0 / _T_FACTOR) * t
+        value = point[0] - (t_next - t) * point[1]     # Phi at t_next
+        point = (value,) + point[1:]
+        alpha = 1.0
+        while alpha > _PREDICTOR_MIN:
+            trial = theta + alpha * tangent
+            cand = _barrier_value(sym, A, b, trial, t_next)
+            evaluations += 1
+            if cand is not None and cand[0] < value:
+                theta, point = trial, cand
+                break
+            alpha *= 0.5
+        t = t_next
 
-    B = sym.to_matrix(theta[:q])
-    d = theta[q:]
-    gap = 2.0 * m / t
-    eps_contact = 1e-6 * float(b.max())
-    kkt, violation = _kkt_certificate(A, b, B, d, eps_contact)
-    converged = gap <= 1e-8 and violation <= 1e-9
-    if not converged:
+    if gap > 1e-8 or violation > 1e-9 or not kkt <= _KKT_TOL:
         raise SolverError(
-            f"no convergence after {iterations} Newton iterations: "
-            f"duality gap {gap:.3e}, KKT residual {kkt:.3e}")
+            f"no certified optimum after {iterations} Newton iterations: "
+            f"duality gap {gap:.3e}, KKT residual {kkt:.3e}, "
+            f"violation {violation:.3e}")
     ellipsoid = Ellipsoid(B, d)
     if full_output:
         info = SolveInfo(newton_iterations=iterations, duality_gap=gap,
                          newton_decrement=decrement, kkt_residual=kkt,
-                         det_trace=det_trace, converged=converged)
+                         det_trace=det_trace, stages=stages,
+                         value_evaluations=evaluations)
         return ellipsoid, info
     return ellipsoid
 

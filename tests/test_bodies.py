@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.spatial import QhullError
+
 from voliso import (AffineMap, DegenerateBodyError, HPolytope, UnboundedBodyError,
-                    VPolytope, apply_affine, hrep_from_vrep, polytope_from_dict,
-                    polytope_to_dict, polytope_volume, read_polytope,
-                    unit_ball_volume, vrep_from_hrep, write_polytope)
+                    VPolytope, apply_affine, bodies, hrep_from_vrep,
+                    polytope_from_dict, polytope_to_dict, polytope_volume,
+                    read_polytope, unit_ball_volume, vrep_from_hrep,
+                    write_polytope)
 from voliso.shapes import cube, cube_vertices, cross_polytope, random_polytope, regular_simplex
 
 
@@ -121,6 +124,22 @@ class TestConversions:
         V = vrep_from_hrep(P)
         assert np.all(P.contains(V.vertices, tol=1e-7))
         assert polytope_volume(V) > 0.0
+
+    def test_failure_from_origin_retried_from_chebyshev_center(self, monkeypatch):
+        # qhull's outcome turns on the last bits of the vertices, which
+        # depend on the interior point; a failure from the origin is retried
+        P = apply_affine(cube(3), AffineMap(np.eye(3), [0.1, 0.2, 0.0]))
+        real = bodies.HalfspaceIntersection
+
+        def fails_from_origin(halfspaces, interior):
+            if not np.any(interior):
+                raise QhullError("QH6271 simulated failure")
+            return real(halfspaces, interior)
+
+        monkeypatch.setattr(bodies, "HalfspaceIntersection", fails_from_origin)
+        V = vrep_from_hrep(P)
+        assert V.num_vertices == 8
+        assert polytope_volume(V) == pytest.approx(8.0, rel=1e-12)
 
     def test_degenerate_rejected(self):
         flat = np.array([[0.0, 0], [1, 0], [2, 0], [3, 0]])

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from voliso import (HPolytope, InfeasibleDecompositionError, JohnDecomposition,
-                    NotJohnPositionError, UnboundedBodyError, apply_affine,
-                    contact_points, john_decomposition, john_position,
-                    max_inscribed_ellipsoid, volume_ratio)
+from voliso import (AffineMap, HPolytope, InfeasibleDecompositionError,
+                    JohnDecomposition, NotJohnPositionError, SolverError,
+                    UnboundedBodyError, apply_affine, bodies, contact_points,
+                    john, john_decomposition, john_position,
+                    max_inscribed_ellipsoid, polytope_volume, volume_ratio,
+                    vrep_from_hrep)
 from voliso.shapes import (cube, lp_ball_polygon, random_affine_map,
                            random_polytope, regular_polygon, regular_simplex,
                            simplex_contact_directions)
@@ -74,6 +76,152 @@ class TestMaxInscribedEllipsoid:
     def test_unbounded_rejected_at_construction(self):
         with pytest.raises(UnboundedBodyError):
             HPolytope(np.array([[1.0, 0.0], [0.0, 1.0]]), [1.0, 1.0])
+
+
+class TestBarrierDerivatives:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_gradient_and_hessian_match_differences(self, n):
+        rng = np.random.default_rng(100 + n)
+        P = random_polytope(n, rng)
+        A, b = P.normals, P.offsets
+        sym = john._sym_index(n)
+        t = 3.7
+        for _ in range(3):
+            # a random feasible point: a perturbed ball about a shifted center
+            M = rng.standard_normal((n, n))
+            B = 0.4 * b.min() * (np.eye(n) + 0.1 * (M + M.T))
+            d = 0.1 * b.min() * rng.standard_normal(n) / math.sqrt(n)
+            theta = np.concatenate([B[sym.rows, sym.cols], d])
+            point = john._barrier_value(sym, A, b, theta, t)
+            assert point is not None
+            grad, H, grad0 = john._barrier_state(sym, A, b, point, t)
+
+            def value(x):
+                return john._barrier_value(sym, A, b, x, t)[0]
+
+            def gradient(x):
+                return john._barrier_state(
+                    sym, A, b, john._barrier_value(sym, A, b, x, t), t)[0]
+
+            h = 1e-6 * b.min()
+            E = np.eye(theta.size) * h
+            fd_grad = np.array([(value(theta + e) - value(theta - e)) / (2 * h)
+                                for e in E])
+            fd_hess = np.array([(gradient(theta + e) - gradient(theta - e)) / (2 * h)
+                                for e in E])
+            np.testing.assert_allclose(grad, fd_grad, rtol=1e-6,
+                                       atol=1e-6 * np.abs(grad).max())
+            np.testing.assert_allclose(H, fd_hess, rtol=1e-6,
+                                       atol=1e-6 * np.abs(H).max())
+            # grad f0 is the log det part of the gradient, per unit of t
+            barrier_only = john._barrier_state(sym, A, b, point, 0.0)[0]
+            np.testing.assert_allclose(grad - barrier_only, t * grad0,
+                                       rtol=1e-9, atol=1e-12 * np.abs(grad).max())
+
+
+class TestCertifiedStop:
+    def test_coarse_schedule_fails_loudly(self, monkeypatch):
+        # with t multiplied by 100 per stage the Newton iterations no longer
+        # reach the central path on some bodies; such a solve must raise,
+        # not return an ellipsoid that the KKT certificate rejects
+        monkeypatch.setattr(john, "_T_FACTOR", 100.0)
+        rng = np.random.default_rng(2024)
+        for i in range(30):
+            P = random_polytope(3, rng, symmetric=bool(i % 2))
+            try:
+                _, info = max_inscribed_ellipsoid(P, full_output=True)
+            except SolverError:
+                continue
+            assert info.kkt_residual <= 1e-6
+
+    def test_uncertified_result_raises(self, monkeypatch):
+        monkeypatch.setattr(john, "_kkt_certificate",
+                            lambda *args: (1e-3, 0.0))
+        with pytest.raises(SolverError, match="KKT residual 1.000e-03"):
+            max_inscribed_ellipsoid(cube(2))
+
+    def test_indefinite_newton_system_raises(self):
+        with pytest.raises(SolverError, match="singular or indefinite"):
+            john._newton_step(-np.eye(3), np.ones(3), np.ones(3))
+
+    def test_singular_newton_system_is_regularised(self):
+        step, dec2, _ = john._newton_step(np.diag([2.0, 0.0]),
+                                          np.array([1.0, 0.0]), np.ones(2))
+        assert dec2 == pytest.approx(0.5)
+        assert step == pytest.approx([-0.5, 0.0])
+
+
+class TestSolveInfo:
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_counts(self, seed):
+        P = random_polytope(3, seed)
+        _, info = max_inscribed_ellipsoid(P, full_output=True)
+        # t starts at 1 and grows by _T_FACTOR until 2m/t <= _GAP_TOL
+        stages = 1 + math.ceil(math.log(2 * P.num_facets / john._GAP_TOL)
+                               / math.log(john._T_FACTOR))
+        assert info.stages == stages == len(info.det_trace)
+        assert info.value_evaluations >= info.newton_iterations - info.stages
+        assert info.converged
+
+    def test_no_state_between_calls(self):
+        P, Q = random_polytope(3, 8), random_polytope(2, 9)
+        first, info = max_inscribed_ellipsoid(P, full_output=True)
+        max_inscribed_ellipsoid(Q)
+        again, info_again = max_inscribed_ellipsoid(P, full_output=True)
+        assert np.array_equal(first.shape, again.shape)
+        assert np.array_equal(first.center, again.center)
+        assert info == info_again
+
+    def test_no_linear_program_on_the_john_path(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        P = random_polytope(3, 10)
+        monkeypatch.setattr(bodies, "linprog", no_lp)
+        image, _ = john_position(P)
+        assert vrep_from_hrep(image).num_vertices > 3
+
+
+def _near_facet(P, depth):
+    """P translated so that the origin lies ``depth`` from one facet.
+
+    The bodies used here have the foot point b_0 a_0 of facet 0 on that
+    facet, so the shift (b_0 - depth) a_0 keeps every other slack at least
+    ``depth``.  Returns the translated body and the shift."""
+    shift = (P.offsets[0] - depth) * P.normals[0]
+    moved = apply_affine(P, AffineMap(np.eye(P.dim), -shift))
+    assert moved.offsets.min() == pytest.approx(depth, rel=1e-3)
+    return moved, shift
+
+
+NEAR_FACET_BODIES = {"cube-3": lambda: cube(3),
+                     "random-4": lambda: random_polytope(4, 11),
+                     "random-6": lambda: random_polytope(6, 12)}
+
+
+class TestOriginNearFacet:
+    """The solve starts from a ball about the origin, and vertex enumeration
+    starts from the origin when it is deep enough; both must give the moved
+    body's results however close the origin is to a facet."""
+
+    @pytest.mark.parametrize("depth", [1e-3, 1e-9, 1e-12])
+    @pytest.mark.parametrize("name", sorted(NEAR_FACET_BODIES))
+    def test_ellipsoid_is_translated(self, name, depth):
+        P = NEAR_FACET_BODIES[name]()
+        moved, shift = _near_facet(P, depth)
+        E = max_inscribed_ellipsoid(P)
+        F = max_inscribed_ellipsoid(moved)
+        assert np.max(np.abs(F.shape - E.shape)) <= 1e-8
+        assert np.max(np.abs(F.center - (E.center - shift))) <= 1e-8
+
+    @pytest.mark.parametrize("depth", [1e-3, 1e-9, 1e-12])
+    @pytest.mark.parametrize("name", sorted(NEAR_FACET_BODIES))
+    def test_vertices_are_translated(self, name, depth):
+        P = NEAR_FACET_BODIES[name]()
+        moved, _ = _near_facet(P, depth)
+        V, W = vrep_from_hrep(P), vrep_from_hrep(moved)
+        assert W.num_vertices == V.num_vertices
+        assert polytope_volume(W) == pytest.approx(polytope_volume(V), rel=1e-12)
 
 
 class TestJohnPosition:
