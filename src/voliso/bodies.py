@@ -369,19 +369,26 @@ def vrep_from_hrep(P: HPolytope) -> VPolytope:
     serves, without an LP, when it is at least a tenth as deep as the
     farthest facet plane (always true in John position, where the depths
     lie between 1 and n); otherwise the Chebyshev center is solved for.
-    Whether qhull can hull vertices that lie in many exactly coplanar
-    groups turns on their last bits, which depend on the interior point;
-    so when the vertices found from the origin fail, those found from the
-    Chebyshev center are tried.
+    The tenth is a margin above the shallowest depth seen to fail from the
+    origin (1e-2, on two 6-D bodies), not a tuned value.  Whether qhull can
+    hull vertices that lie in many exactly coplanar groups turns on their
+    last bits, which depend on the interior point; so when the vertices
+    found from the origin fail, those found from the Chebyshev center are
+    tried, unless that center is the origin itself.
     """
     if P.dim > MAX_EXACT_DIM:
         raise ValueError(f"vertex enumeration limited to dimension {MAX_EXACT_DIM}")
+    origin = np.zeros(P.dim)
     if P.offsets.min() >= _ORIGIN_DEPTH * P.offsets.max():
         try:
-            return _vertices_from(P, np.zeros(P.dim))
+            return _vertices_from(P, origin)
         except DegenerateBodyError:
-            pass
-    return _vertices_from(P, chebyshev_center(P.normals, P.offsets)[0])
+            center = chebyshev_center(P.normals, P.offsets)[0]
+            if np.array_equal(center, origin):
+                raise
+    else:
+        center = chebyshev_center(P.normals, P.offsets)[0]
+    return _vertices_from(P, center)
 
 
 def _vertices_from(P: HPolytope, interior) -> VPolytope:

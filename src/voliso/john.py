@@ -19,7 +19,10 @@ stage's last Hessian, halved until it lowers Phi at the new t.
 The stop is certified: once the duality gap 2m/t is below tolerance, the
 KKT residual of the iterate must be small too.  Stages go on while it is
 above 1e-8 (down to a gap of 1e-13), and a result whose residual is above
-1e-6 raises SolverError instead of being returned.
+1e-6 raises SolverError instead of being returned.  The iterates are
+scale-equivariant but these tolerances are absolute, so the solve runs on
+the body scaled by a power of two to largest offset in [0.5, 1): a body
+gets the same stop in any units.
 
 A body is in John position when its maximal inscribed ellipsoid is the
 unit ball; contact points are then the facet normals at unit distance, and
@@ -124,7 +127,9 @@ class SolveInfo:
 
     ``stages`` counts barrier stages (one entry of ``det_trace`` each) and
     ``value_evaluations`` the evaluations of the barrier value, line-search
-    and predictor trials included.  A returned solve has converged, so
+    and predictor trials included.  ``kkt_residual`` is that of the body
+    scaled to largest offset in [0.5, 1), as the stop judged it, so it does
+    not depend on the body's units.  A returned solve has converged, so
     ``converged`` is always True; a failed one raises SolverError.
     """
 
@@ -258,12 +263,17 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     Raises SolverError, and returns no ellipsoid, when the duality gap
     does not close within the Newton iteration cap, when a Newton system
     is singular or indefinite even after regularisation, or when the KKT
-    residual of the result is above 1e-6.
+    residual of the result is above 1e-6.  Tolerances apply to the body
+    scaled by a power of two to largest offset in [0.5, 1), so they do not
+    depend on its units.
     """
-    A, b = P.normals, P.offsets
+    A = P.normals
     m, n = A.shape
     sym = _sym_index(n)
     q = sym.q
+    # exact scaling by a power of two to max(b) in [0.5, 1)
+    scale = 2.0 ** math.frexp(float(P.offsets.max()))[1]
+    b = P.offsets / scale
 
     theta = np.zeros(q + n)
     theta[:q][sym.diag] = 0.9 * float(b.min())
@@ -299,7 +309,7 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
                 alpha *= 0.5
             if not accepted or progress <= 1e-13 * (1.0 + abs(value)):
                 break   # numerical noise floor for this stage
-        det_trace.append(math.exp(point[1]))
+        det_trace.append(math.exp(point[1]) * scale ** n)
         gap = 2.0 * m / t
         if gap <= _GAP_TOL or iterations >= _MAX_NEWTON:
             B, d = sym.to_matrix(theta[:q]), theta[q:]
@@ -331,7 +341,7 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
             f"no certified optimum after {iterations} Newton iterations: "
             f"duality gap {gap:.3e}, KKT residual {kkt:.3e}, "
             f"violation {violation:.3e}")
-    ellipsoid = Ellipsoid(B, d)
+    ellipsoid = Ellipsoid(scale * B, scale * d)
     if full_output:
         info = SolveInfo(newton_iterations=iterations, duality_gap=gap,
                          newton_decrement=decrement, kkt_residual=kkt,

@@ -141,6 +141,20 @@ class TestConversions:
         assert V.num_vertices == 8
         assert polytope_volume(V) == pytest.approx(8.0, rel=1e-12)
 
+    def test_no_retry_when_chebyshev_center_is_origin(self, monkeypatch):
+        # raw bodies with facets tangent to a sphere about the origin have
+        # the origin as Chebyshev center; a retry would repeat the failure
+        calls = []
+
+        def always_fails(halfspaces, interior):
+            calls.append(interior)
+            raise QhullError("QH6271 simulated failure")
+
+        monkeypatch.setattr(bodies, "HalfspaceIntersection", always_fails)
+        with pytest.raises(DegenerateBodyError, match="QH6271"):
+            vrep_from_hrep(cube(3))
+        assert len(calls) == 1
+
     def test_degenerate_rejected(self):
         flat = np.array([[0.0, 0], [1, 0], [2, 0], [3, 0]])
         with pytest.raises(DegenerateBodyError, match="not full-dimensional"):

@@ -223,6 +223,59 @@ class TestOriginNearFacet:
         assert W.num_vertices == V.num_vertices
         assert polytope_volume(W) == pytest.approx(polytope_volume(V), rel=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.9, 1 - 1e-6, 1 - 1e-9])
+    @pytest.mark.parametrize("n, seed, symmetric",
+                             [(2, 21, False), (3, 22, True), (5, 23, False)])
+    def test_ellipsoid_follows_map_to_near_vertex(self, n, seed, symmetric, lam):
+        # a random linear map after moving the origin most of the way to a
+        # vertex: the solve must return the image of the unmoved body's
+        # ellipsoid, {L B u + L (d - z)}, compared through B B^T
+        P = random_polytope(n, seed, symmetric=symmetric)
+        L = random_affine_map(n, seed).linear
+        z = lam * vrep_from_hrep(P).vertices[0]
+        moved = apply_affine(P, AffineMap(L, -L @ z))
+        E = max_inscribed_ellipsoid(P)
+        F, info = max_inscribed_ellipsoid(moved, full_output=True)
+        gram = L @ E.shape @ E.shape.T @ L.T
+        size = np.abs(gram).max()
+        assert np.max(np.abs(F.shape @ F.shape.T - gram)) <= 1e-8 * size
+        assert np.max(np.abs(F.center - L @ (E.center - z))) <= 1e-8 * math.sqrt(size)
+        assert info.kkt_residual <= 1e-8
+
+
+class TestScale:
+    """The solve is scale-equivariant, and so must be its stop: the same
+    body in other units gives the scaled ellipsoid, certified alike."""
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e4])
+    @pytest.mark.parametrize("make", [lambda: cube(3), lambda: random_polytope(4, 1),
+                                      lambda: random_polytope(3, 4, symmetric=True)],
+                             ids=["cube-3", "random-4", "symmetric-3"])
+    def test_scaled_body(self, make, scale):
+        P = make()
+        E, info = max_inscribed_ellipsoid(P, full_output=True)
+        scaled = apply_affine(P, AffineMap(scale * np.eye(P.dim), np.zeros(P.dim)))
+        F, scaled_info = max_inscribed_ellipsoid(scaled, full_output=True)
+        assert np.max(np.abs(F.shape / scale - E.shape)) <= 1e-8
+        assert np.max(np.abs(F.center / scale - E.center)) <= 1e-8
+        assert scaled_info.kkt_residual <= 1e-8
+        assert scaled_info.det_trace[-1] == pytest.approx(
+            info.det_trace[-1] * scale ** P.dim, rel=1e-6)
+
+    @pytest.mark.parametrize("power", [-30, 30])
+    def test_power_of_two_units_change_nothing(self, power):
+        # scaling by 2^k is exact, so the certificate, and with it every
+        # decision of the stop, must come out bit for bit the same
+        P = random_polytope(4, 1)
+        E, info = max_inscribed_ellipsoid(P, full_output=True)
+        scale = 2.0 ** power
+        scaled = apply_affine(P, AffineMap(scale * np.eye(P.dim), np.zeros(P.dim)))
+        F, scaled_info = max_inscribed_ellipsoid(scaled, full_output=True)
+        assert np.array_equal(F.shape, scale * E.shape)
+        assert np.array_equal(F.center, scale * E.center)
+        assert scaled_info.kkt_residual == info.kkt_residual
+        assert scaled_info.newton_iterations == info.newton_iterations
+
 
 class TestJohnPosition:
     @pytest.mark.parametrize("seed", [0, 1, 2])
