@@ -8,7 +8,7 @@ regular simplex geometry.
 """
 import numpy as np
 
-from voliso import BLSystem, Density1D, McParams, bl_ratio, lift_to_cone, verify_decomposition
+from voliso import BLSystem, Density1D, McParams, bl_ratio, lift_to_cone
 from voliso.brascamp_lieb import random_system
 
 MC = McParams(sample_count=500_000, seed=1)
@@ -48,8 +48,7 @@ def main():
 
     print("\nCone lifting (centered system in R^2 -> system in R^3):")
     lifted = lift_to_cone(triangle_system())
-    report = verify_decomposition(lifted)
-    print(f"  lifted identity residual: {report.frobenius_residual:.2e}, "
+    print(f"  lifted identity residual: {lifted.frobenius_residual():.2e}, "
           f"sum of weights: {lifted.weights.sum():.6f}")
     show("lifted triangle, exponential densities", lifted,
          [Density1D.exponential()] * 3)

@@ -1,7 +1,9 @@
 """Maximal inscribed ellipsoids, John position, and contact decompositions.
 
 Solves the log-det program for a few bodies, extracts contact points, and
-solves for the weights that make the contacts resolve the identity.
+solves for the weights that make the contacts resolve the identity.  The
+contacts and weights come back as a BLSystem, the same type the
+Brascamp-Lieb estimator and the l_p gauges take.
 """
 import numpy as np
 

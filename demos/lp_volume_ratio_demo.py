@@ -38,8 +38,10 @@ def main():
             spec = SubspaceSpec(rng.standard_normal((m, 2)), p)
             lewis = lewis_position(spec)
             est = subspace_volume_ratio(spec, MC)
+            system = lewis.gauge.system
             print(f"    random 2-dim subspace of l_p^{m}: vr = {est.value:.5f} "
-                  f"+- {est.std_error:.5f}  (Lewis residual {lewis.residual:.1e})")
+                  f"+- {est.std_error:.5f}  (Lewis residual {lewis.residual:.1e}, "
+                  f"sum c_i = {system.weights.sum():.6f})")
 
     print("\nThe L_1 volume-ratio bound grows toward sqrt(2e/pi):")
     for n in (1, 2, 3, 5, 10, 25, 50, 100, 200):

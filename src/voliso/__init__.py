@@ -6,16 +6,15 @@ from .bodies import (AffineMap, BodyOracle, Ellipsoid, HPolytope, VPolytope,
                      hrep_from_vrep, polytope_from_dict, polytope_to_dict,
                      read_polytope, unit_ball_volume, vrep_from_hrep,
                      write_polytope)
-from .brascamp_lieb import (BLSystem, Density1D, DecompositionReport, bl_ratio,
-                            cube_volume_bound, lift_to_cone, random_system,
+from .brascamp_lieb import (BLSystem, Density1D, bl_ratio, cube_volume_bound,
+                            lift_to_cone, random_system,
                             reverse_isoperimetric_constant,
-                            simplex_volume_bound, verify_decomposition)
+                            simplex_volume_bound)
 from .errors import (DegenerateBodyError, GaugeError,
                      InfeasibleDecompositionError, NotJohnPositionError,
                      SolverError, UnboundedBodyError, VolisoError)
-from .john import (JohnDecomposition, SolveInfo, contact_points,
-                   john_decomposition, john_position, max_inscribed_ellipsoid,
-                   volume_ratio)
+from .john import (SolveInfo, contact_points, john_decomposition,
+                   john_position, max_inscribed_ellipsoid, volume_ratio)
 from .lp_spaces import (L1_VR_LIMIT, SubspaceSpec, WeightedLpGauge,
                         gauge_integral_volume, inscribed_radius_check,
                         l1_vr_bound, lewis_position, lp_ball_volume,

@@ -6,10 +6,13 @@ and integrable densities f_i >= 0 on the line,
     integral of prod f_i(<u_i, x>)^c_i over R^d  <=  prod (integral f_i)^c_i
 
 with equality for identical centered Gaussians and for orthonormal u_i.
-The module estimates the left side by importance sampling, exposes the
-cone-lifting construction that turns a centered decomposition in R^n into a
-decomposition in R^{n+1}, and evaluates the extremal constants (cube and
-regular-simplex volume bounds, reverse isoperimetric constants).
+``BLSystem`` holds such a family (u_i, c_i) and is the package's one type
+for an identity decomposition: John's contact points come as one, and a
+weighted l_p gauge is one plus p.  The module estimates the left side by
+importance sampling, exposes the cone-lifting construction that turns a
+centered decomposition in R^n into a decomposition in R^{n+1}, and
+evaluates the extremal constants (cube and regular-simplex volume bounds,
+reverse isoperimetric constants).
 """
 from __future__ import annotations
 
@@ -21,14 +24,22 @@ import numpy as np
 from .measures import Estimate, McParams
 from .sampling import StudentTProposal, RunningMean, batch_sizes, rng_from_seed
 
+# largest |sum c_i u_i| that lift_to_cone accepts as centered
+_BARYCENTER_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class BLSystem:
-    """Unit vectors with positive weights, nominally resolving the identity.
+    """Identity decomposition: unit vectors u_i with positive weights c_i,
+    nominally resolving sum c_i u_i (x) u_i = I_d.
 
-    Construction checks only shapes, unit length, and weight positivity;
-    how well sum c_i u_i (x) u_i = I_d holds is what verify_decomposition
-    reports, so deliberately perturbed systems can be inspected.
+    The one type for the paper's central object: John's contact points with
+    their weights (``john.john_decomposition``), the data of the
+    Brascamp-Lieb inequality, and the vectors and weights of a weighted
+    l_p gauge (``lp_spaces.WeightedLpGauge``).  Construction checks only
+    shapes, unit length and weight positivity; how well the identity holds
+    is what the residual methods report, so deliberately perturbed systems
+    can be inspected.
     """
 
     vectors: np.ndarray
@@ -55,6 +66,19 @@ class BLSystem:
     def size(self) -> int:
         return self.vectors.shape[0]
 
+    def frobenius_residual(self) -> float:
+        """|sum c_i u_i (x) u_i - I|_F."""
+        M = (self.vectors * self.weights[:, None]).T @ self.vectors
+        return float(np.linalg.norm(M - np.eye(self.dim)))
+
+    def trace_gap(self) -> float:
+        """|sum c_i - d|."""
+        return float(abs(self.weights.sum() - self.dim))
+
+    def barycenter_norm(self) -> float:
+        """|sum c_i u_i|; zero for John's contacts of a general body."""
+        return float(np.linalg.norm(self.weights @ self.vectors))
+
     def to_dict(self) -> dict:
         return {"dim": self.dim, "vectors": self.vectors.tolist(),
                 "weights": self.weights.tolist()}
@@ -62,31 +86,6 @@ class BLSystem:
     @classmethod
     def from_dict(cls, data: dict) -> "BLSystem":
         return cls(data["vectors"], data["weights"])
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Residuals of an identity decomposition; all zero for a valid one."""
-
-    frobenius_residual: float
-    trace_gap: float
-    barycenter_norm: float
-
-    def to_dict(self) -> dict:
-        return {"frobenius_residual": self.frobenius_residual,
-                "trace_gap": self.trace_gap,
-                "barycenter_norm": self.barycenter_norm}
-
-
-def verify_decomposition(system: BLSystem) -> DecompositionReport:
-    """Report |sum c u u^T - I|_F, |sum c - d|, and |sum c u| without raising."""
-    U, c = system.vectors, system.weights
-    d = system.dim
-    M = (U * c[:, None]).T @ U
-    return DecompositionReport(
-        frobenius_residual=float(np.linalg.norm(M - np.eye(d))),
-        trace_gap=float(abs(c.sum() - d)),
-        barycenter_norm=float(np.linalg.norm(c @ U)))
 
 
 def random_system(dim: int, size: int, rng) -> BLSystem:
@@ -167,46 +166,41 @@ class Density1D:
 
     def log_density(self, t: np.ndarray) -> np.ndarray:
         """log f(t) elementwise, -inf where f vanishes."""
-        t = np.asarray(t, dtype=float)
-        if self.tag == "exponential":
-            return np.where(t >= 0.0, -t, -np.inf)
-        if self.tag == "gaussian":
-            sigma = self.params[0]
-            return -0.5 * (t / sigma) ** 2
-        if self.tag == "indicator":
-            a, b = self.params
-            return np.where((t >= a) & (t <= b), 0.0, -np.inf)
-        if self.tag == "table":
-            g, v = self.params
-            vals = np.interp(t, g, v, left=0.0, right=0.0)
-            with np.errstate(divide="ignore"):
-                return np.log(vals)
-        raise ValueError(f"unknown density tag {self.tag!r}")
+        log_f, _ = _tag(self.tag)
+        return log_f(np.asarray(t, dtype=float), *self.params)
 
     def to_dict(self) -> dict:
-        if self.tag == "exponential":
-            return {"tag": "exponential"}
-        if self.tag == "gaussian":
-            return {"tag": "gaussian", "sigma": self.params[0]}
-        if self.tag == "indicator":
-            return {"tag": "indicator", "a": self.params[0], "b": self.params[1]}
-        if self.tag == "table":
-            g, v = self.params
-            return {"tag": "table", "grid": g.tolist(), "values": v.tolist()}
-        raise ValueError(f"unknown density tag {self.tag!r}")
+        _, names = _tag(self.tag)
+        return {"tag": self.tag, **{name: np.asarray(value).tolist()
+                                    for name, value in zip(names, self.params)}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Density1D":
-        tag = data["tag"]
-        if tag == "exponential":
-            return cls.exponential()
-        if tag == "gaussian":
-            return cls.gaussian(data.get("sigma", 1.0))
-        if tag == "indicator":
-            return cls.indicator(data["a"], data["b"])
-        if tag == "table":
-            return cls.table(data["grid"], data["values"])
+        _, names = _tag(data["tag"])
+        return getattr(cls, data["tag"])(
+            **{name: data[name] for name in names if name in data})
+
+
+def _log_table(t, grid, values):
+    with np.errstate(divide="ignore"):
+        return np.log(np.interp(t, grid, values, left=0.0, right=0.0))
+
+
+# tag -> (log f(t, *params), descriptor names of the params); the
+# Density1D constructor named after the tag takes those names
+_TAGS = {
+    "exponential": (lambda t: np.where(t >= 0.0, -t, -np.inf), ()),
+    "gaussian": (lambda t, sigma: -0.5 * (t / sigma) ** 2, ("sigma",)),
+    "indicator": (lambda t, a, b: np.where((t >= a) & (t <= b), 0.0, -np.inf),
+                  ("a", "b")),
+    "table": (_log_table, ("grid", "values")),
+}
+
+
+def _tag(tag: str):
+    if tag not in _TAGS:
         raise ValueError(f"unknown density tag {tag!r}")
+    return _TAGS[tag]
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +226,7 @@ def bl_ratio(system: BLSystem, densities, mc: McParams) -> Estimate:
     rng = rng_from_seed(mc.seed)
     acc = RunningMean()
     with np.errstate(invalid="ignore"):
-        for size in batch_sizes(mc.sample_count, mc.batch):
+        for size in batch_sizes(mc.sample_count):
             X = proposal.sample(rng, size)
             dots = X @ system.vectors.T                       # (size, m)
             log_f = np.empty_like(dots)
@@ -245,7 +239,7 @@ def bl_ratio(system: BLSystem, densities, mc: McParams) -> Estimate:
     return Estimate(acc.mean, acc.std_error, mc.sample_count)
 
 
-def lift_to_cone(system: BLSystem, tol: float = 1e-8) -> BLSystem:
+def lift_to_cone(system: BLSystem) -> BLSystem:
     """Lift a centered decomposition in R^n to one in R^{n+1}.
 
     Sends u_i to v_i = sqrt(n/(n+1)) (-u_i, 1/sqrt(n)) with weights
@@ -255,10 +249,10 @@ def lift_to_cone(system: BLSystem, tol: float = 1e-8) -> BLSystem:
     family are supported on a cone whose height-r section is (r/sqrt(n))
     times the polytope {x : <u_i, x> <= 1}.
     """
-    report = verify_decomposition(system)
-    if report.barycenter_norm > tol:
-        raise ValueError(f"barycenter {report.barycenter_norm:.3e} exceeds "
-                         f"{tol:.1e}; lifting needs sum c_i u_i = 0")
+    barycenter = system.barycenter_norm()
+    if barycenter > _BARYCENTER_TOL:
+        raise ValueError(f"barycenter {barycenter:.3e} exceeds "
+                         f"{_BARYCENTER_TOL:.1e}; lifting needs sum c_i u_i = 0")
     n = system.dim
     scale = math.sqrt(n / (n + 1.0))
     lifted = np.hstack([-system.vectors,

@@ -21,14 +21,12 @@ from . import shapes
 from .bodies import (HPolytope, apply_affine, hrep_from_vrep, read_polytope,
                      unit_ball_volume, vrep_from_hrep)
 from .brascamp_lieb import (BLSystem, Density1D, bl_ratio,
-                            reverse_isoperimetric_constant,
-                            verify_decomposition)
+                            reverse_isoperimetric_constant)
 from .errors import VolisoError
 from .john import (contact_points, john_decomposition, john_position,
                    max_inscribed_ellipsoid)
-from .lp_spaces import (L1_VR_LIMIT, SubspaceSpec, l1_vr_bound,
-                        lewis_position, lp_ball_volume_ratio,
-                        subspace_volume_ratio)
+from .lp_spaces import (L1_VR_LIMIT, SubspaceSpec, _lewis_volume_ratio,
+                        l1_vr_bound, lp_ball_volume_ratio)
 from .measures import (McParams, cauchy_surface_area,
                        isoperimetric_quotient, petty_functional,
                        polytope_volume, surface_area)
@@ -129,7 +127,9 @@ def cmd_john(args) -> int:
         "john_map": {"linear": transform.linear.tolist(),
                      "shift": transform.shift.tolist()},
         "contact_points": contacts.tolist(),
-        "decomposition": decomposition.to_dict(),
+        "decomposition": {"contacts": decomposition.vectors.tolist(),
+                          "weights": decomposition.weights.tolist(),
+                          "symmetric": args.symmetric},
         "residuals": {
             "kkt": info.kkt_residual,
             "frobenius": decomposition.frobenius_residual(),
@@ -179,8 +179,7 @@ def cmd_reviso(args) -> int:
 def cmd_lp(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         spec = SubspaceSpec.from_dict(json.load(fh))
-    lewis = lewis_position(spec)
-    estimate = subspace_volume_ratio(spec, _mc_params(args))
+    lewis, estimate = _lewis_volume_ratio(spec, _mc_params(args))
     reference = lp_ball_volume_ratio(spec.n, spec.p)
     passed = estimate.value <= reference + 3.0 * estimate.std_error
     config = ExperimentConfig(command="lp", source=args.input, n=spec.n,
@@ -220,7 +219,6 @@ def cmd_bl(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         system = BLSystem.from_dict(json.load(fh))
     densities = _parse_densities(args.densities, system.size)
-    decomposition = verify_decomposition(system)
     estimate = bl_ratio(system, densities, _mc_params(args))
     passed = estimate.value <= 1.0 + 3.0 * estimate.std_error
     config = ExperimentConfig(
@@ -228,7 +226,9 @@ def cmd_bl(args) -> int:
         extras=(("densities", [f.to_dict() for f in densities]),))
     report = {
         "config": config.to_dict(),
-        "decomposition": decomposition.to_dict(),
+        "decomposition": {"frobenius_residual": system.frobenius_residual(),
+                          "trace_gap": system.trace_gap(),
+                          "barycenter_norm": system.barycenter_norm()},
         "ratio": estimate.to_dict(),
         "bound": 1.0,
         "passed": passed,

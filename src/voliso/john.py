@@ -27,6 +27,8 @@ gets the same stop in any units.
 A body is in John position when its maximal inscribed ellipsoid is the
 unit ball; contact points are then the facet normals at unit distance, and
 nonnegative weights solving sum c_i u_i (x) u_i = I certify optimality.
+``john_decomposition`` returns them as a ``brascamp_lieb.BLSystem``, the
+package's one type for an identity decomposition.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .bodies import Ellipsoid, HPolytope, apply_affine, vrep_from_hrep
+from .brascamp_lieb import BLSystem
 from .errors import InfeasibleDecompositionError, NotJohnPositionError, SolverError
 
 _GAP_TOL = 1e-10
@@ -47,6 +50,8 @@ _PREDICTOR_MIN = 1e-3      # smallest fraction of the tangent step tried
 _KKT_TARGET = 1e-8         # KKT residual the stages aim for ...
 _GAP_FLOOR = 1e-13         # ... until the duality gap is this small
 _KKT_TOL = 1e-6            # largest KKT residual of a returned ellipsoid
+_DECOMPOSITION_TOL = 1e-8  # largest residual of John's weights
+_DROP_TOL = 1e-10          # contacts of smaller weight leave the decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -378,56 +383,18 @@ def contact_points(P: HPolytope, eps_contact: float | None = None) -> np.ndarray
     return P.normals[P.offsets <= 1.0 + eps_contact].copy()
 
 
-@dataclass(frozen=True, eq=False)
-class JohnDecomposition:
-    """Contact unit vectors u_i with positive weights c_i.
-
-    Satisfies sum c_i u_i (x) u_i = I within tolerance, hence sum c_i = n;
-    in the general (non-symmetric) case also sum c_i u_i = 0.  The vectors
-    act like an orthonormal basis: |x|^2 = sum c_i <u_i, x>^2.
-    """
-
-    contacts: np.ndarray
-    weights: np.ndarray
-    symmetric: bool
-
-    @property
-    def dim(self) -> int:
-        return self.contacts.shape[1]
-
-    def frobenius_residual(self) -> float:
-        n = self.dim
-        M = (self.contacts * self.weights[:, None]).T @ self.contacts
-        return float(np.linalg.norm(M - np.eye(n)))
-
-    def trace_gap(self) -> float:
-        return float(abs(self.weights.sum() - self.dim))
-
-    def barycenter_norm(self) -> float:
-        return float(np.linalg.norm(self.weights @ self.contacts))
-
-    def to_dict(self) -> dict:
-        return {"contacts": self.contacts.tolist(),
-                "weights": self.weights.tolist(),
-                "symmetric": self.symmetric}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JohnDecomposition":
-        return cls(np.asarray(data["contacts"], dtype=float),
-                   np.asarray(data["weights"], dtype=float),
-                   bool(data["symmetric"]))
-
-
-def john_decomposition(contacts, symmetric: bool, tol: float = 1e-8,
-                       drop_tol: float = 1e-10) -> JohnDecomposition:
+def john_decomposition(contacts, symmetric: bool) -> BLSystem:
     """Nonnegative weights making the contacts resolve the identity.
 
     Solves sum c_i u_i (x) u_i = I_n (plus sum c_i u_i = 0 when
     ``symmetric`` is False) by nonnegative least squares; when the system is
     underdetermined the minimum-Euclidean-norm nonnegative solution is
-    returned, and zero-weight contacts are dropped.  Raises
-    InfeasibleDecompositionError when no weights fit within ``tol``,
-    which signals an incomplete contact set.
+    returned, and contacts of weight at most ``_DROP_TOL`` are dropped.  The
+    result is a BLSystem of the kept contacts and their weights, with
+    ``barycenter_norm`` zero in the general case; its vectors act like an
+    orthonormal basis: |x|^2 = sum c_i <u_i, x>^2.  Raises
+    InfeasibleDecompositionError when no weights fit within
+    ``_DECOMPOSITION_TOL``, which signals an incomplete contact set.
     """
     U = np.atleast_2d(np.asarray(contacts, dtype=float))
     m, n = U.shape
@@ -448,12 +415,13 @@ def john_decomposition(contacts, symmetric: bool, tol: float = 1e-8,
     y_aug = np.concatenate([y, np.zeros(m)])
     c, _ = nnls(A_aug, y_aug)
     residual = float(np.linalg.norm(A @ c - y))
-    if residual > tol:
+    if residual > _DECOMPOSITION_TOL:
         raise InfeasibleDecompositionError(
-            f"decomposition residual {residual:.3e} exceeds {tol:.1e}; "
+            f"decomposition residual {residual:.3e} exceeds "
+            f"{_DECOMPOSITION_TOL:.1e}; "
             "contact set looks incomplete (raise eps_contact and retry)")
-    keep = c > drop_tol
-    return JohnDecomposition(U[keep].copy(), c[keep].copy(), symmetric)
+    keep = c > _DROP_TOL
+    return BLSystem(U[keep], c[keep])
 
 
 def volume_ratio(P: HPolytope) -> float:

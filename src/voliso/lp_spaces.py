@@ -5,12 +5,13 @@ The unit-ball volume of (R^n, ||.||) obeys the gauge-integral identity
     |K| = Gamma(1 + n/p)^{-1} * integral of e^{-||x||^p} over R^n
 
 for any Minkowski gauge and any finite p >= 1, which turns volume
-estimation into importance sampling.  Weighted gauges built on an identity
-decomposition obey the product volume bound (Brascamp-Lieb applied to the
-gauge integral), with equality exactly for the coordinate l_p^n ball.  A
-fixed-point Lewis-position solver represents any n-dimensional subspace of
-l_p^m with the decomposition weights matching the norm weights, which makes
-l_p^n the maximal-volume-ratio subspace of L_p.
+estimation into importance sampling.  A weighted gauge is a BLSystem of
+unit vectors and norm weights plus p.  When its vectors carry an identity
+decomposition it obeys the product volume bound (Brascamp-Lieb applied to
+the gauge integral), with equality exactly for the coordinate l_p^n ball.
+A fixed-point Lewis-position solver represents any n-dimensional subspace
+of l_p^m by a gauge whose norm weights resolve the identity themselves,
+which makes l_p^n the maximal-volume-ratio subspace of L_p.
 """
 from __future__ import annotations
 
@@ -21,13 +22,22 @@ from typing import NamedTuple
 import numpy as np
 
 from .bodies import BodyOracle
-from .brascamp_lieb import BLSystem, verify_decomposition
+from .brascamp_lieb import BLSystem
 from .errors import GaugeError, SolverError
 from .measures import Estimate, McParams
 from .sampling import (StudentTProposal, RunningMean, batch_sizes,
                        rng_from_seed, sphere_points)
 
 L1_VR_LIMIT = math.sqrt(2.0 * math.e / math.pi)
+
+# the damped Lewis fixed point (see lewis_position)
+_LEWIS_TOL = 1e-10
+_LEWIS_MAX_ITER = 500
+_LEWIS_STEP = 0.5
+# the seeded unit vectors inscribed_radius_check probes, and its slack
+_RADIUS_PROBE_SEED = 0
+_RADIUS_PROBE_COUNT = 1000
+_RADIUS_PROBE_TOL = 1e-9
 
 
 def lp_ball_volume(n: int, p: float) -> float:
@@ -64,37 +74,30 @@ def lp_ball_volume_ratio(n: int, p: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class WeightedLpGauge:
-    """Norm x -> (sum alpha_i |<u_i, x>|^p)^{1/p} for unit vectors u_i."""
+    """Norm x -> (sum alpha_i |<u_i, x>|^p)^{1/p} of a system (u_i, alpha_i).
 
-    vectors: np.ndarray
-    alphas: np.ndarray
+    The system's weights are the norm weights alpha_i.  They need not
+    resolve the identity; those of a Lewis position do.
+    """
+
+    system: BLSystem
     p: float
 
-    def __init__(self, vectors, alphas, p):
-        U = np.atleast_2d(np.asarray(vectors, dtype=float))
-        a = np.asarray(alphas, dtype=float).ravel()
-        if U.shape[0] != a.shape[0]:
-            raise ValueError("one alpha per vector required")
-        if np.any(np.abs(np.linalg.norm(U, axis=1) - 1.0) > 1e-9):
-            raise ValueError("vectors must have unit length")
-        if np.any(a <= 0):
-            raise ValueError("alphas must be positive")
-        if not (1.0 <= p < math.inf):
+    def __post_init__(self):
+        if not (1.0 <= self.p < math.inf):
             raise ValueError("p must lie in [1, inf)")
-        if np.linalg.matrix_rank(U, tol=1e-12) < U.shape[1]:
+        if np.linalg.matrix_rank(self.system.vectors, tol=1e-12) < self.dim:
             raise GaugeError("vectors do not span; gauge vanishes on a subspace")
-        object.__setattr__(self, "vectors", U)
-        object.__setattr__(self, "alphas", a)
-        object.__setattr__(self, "p", float(p))
+        object.__setattr__(self, "p", float(self.p))
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[1]
+        return self.system.dim
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dots = np.abs(pts @ self.vectors.T)
-        return (dots ** self.p @ self.alphas) ** (1.0 / self.p)
+        dots = np.abs(pts @ self.system.vectors.T)
+        return (dots ** self.p @ self.system.weights) ** (1.0 / self.p)
 
     def bounding_radius(self) -> float:
         """Rigorous R with {gauge <= 1} contained in R * unit ball.
@@ -102,10 +105,10 @@ class WeightedLpGauge:
         From max_i <u_i, x>^2 >= lam_min(sum u u^T) |x|^2 / m it follows
         that gauge(x) >= alpha_min^{1/p} (lam_min/m)^{1/2} |x|.
         """
-        G = self.vectors.T @ self.vectors
-        lam_min = float(np.linalg.eigvalsh(G)[0])
-        m = self.vectors.shape[0]
-        lower = self.alphas.min() ** (1.0 / self.p) * math.sqrt(lam_min / m)
+        U = self.system.vectors
+        lam_min = float(np.linalg.eigvalsh(U.T @ U)[0])
+        lower = (self.system.weights.min() ** (1.0 / self.p)
+                 * math.sqrt(lam_min / self.system.size))
         return 1.0 / lower
 
     def unit_ball_oracle(self) -> BodyOracle:
@@ -138,7 +141,7 @@ def gauge_integral_volume(body: BodyOracle, p: float, mc: McParams) -> Estimate:
     scale = float(np.median(radii)) * max(1.0, (n / p) ** (1.0 / p)) * 1.3
     proposal = StudentTProposal(dim=n, scale=scale)
     acc = RunningMean()
-    for size in batch_sizes(mc.sample_count, mc.batch):
+    for size in batch_sizes(mc.sample_count):
         X = proposal.sample(rng, size)
         values = np.asarray(body.gauge(X), dtype=float)
         acc.add(np.exp(-values ** p - proposal.logpdf(X)))
@@ -184,14 +187,14 @@ def verify_product_volume_bound(gauge: WeightedLpGauge, weights, mc: McParams) -
     ``weights`` are the decomposition weights c_i of the gauge's vectors;
     they must resolve the identity (checked to 1e-8).
     """
-    c = np.asarray(weights, dtype=float)
-    system = BLSystem(gauge.vectors, c)
-    report = verify_decomposition(system)
-    if report.frobenius_residual > 1e-8:
+    decomposition = BLSystem(gauge.system.vectors, weights)
+    residual = decomposition.frobenius_residual()
+    if residual > 1e-8:
         raise ValueError(f"not an identity decomposition: residual "
-                         f"{report.frobenius_residual:.3e}")
+                         f"{residual:.3e}")
     volume = gauge_integral_volume(gauge.unit_ball_oracle(), gauge.p, mc)
-    bound = product_volume_bound(c, gauge.alphas, gauge.p, gauge.dim)
+    bound = product_volume_bound(decomposition.weights, gauge.system.weights,
+                                 gauge.p, gauge.dim)
     return ProductBoundReport(volume=volume, bound=bound,
                        satisfied=volume.value <= bound + 3.0 * volume.std_error)
 
@@ -248,30 +251,25 @@ class LewisPosition:
     """Representation of a subspace with matching norm and identity weights.
 
     ``change_of_basis`` L maps R^n into the subspace via x -> basis @ L @ x,
-    whose l_p norm equals (sum c_i |<u_i, x>|^p)^{1/p} exactly, while
-    sum c_i u_i (x) u_i = I_n within the solver tolerance.
+    whose l_p norm equals ``gauge(x)`` exactly, while the gauge's system
+    resolves the identity, sum c_i u_i (x) u_i = I_n, within the solver
+    tolerance (``residual``, reached after ``iterations`` sweeps).
     """
 
-    vectors: np.ndarray
-    weights: np.ndarray
+    gauge: WeightedLpGauge
     change_of_basis: np.ndarray
-    p: float
     residual: float
     iterations: int
 
-    def gauge(self) -> WeightedLpGauge:
-        return WeightedLpGauge(self.vectors, self.weights, self.p)
 
-
-def lewis_position(spec: SubspaceSpec, tol: float = 1e-10,
-                   max_iter: int = 500, step: float = 0.5) -> LewisPosition:
+def lewis_position(spec: SubspaceSpec) -> LewisPosition:
     """Fixed-point solve for the Lewis position of a subspace of l_p^m.
 
     Starting from the QR-whitened basis (already the fixed point for p = 2),
     each sweep computes row weights |r_i|^p of R = basis @ L and applies the
-    damped whitening L <- L T^{-step/2} with T = sum |r_i|^{p-2} r_i r_i^T,
-    until |T - I|_F < tol.  Zero rows carry zero weight and are dropped
-    from the returned vectors.
+    damped whitening L <- L T^{-s/2} (s = ``_LEWIS_STEP``) with
+    T = sum |r_i|^{p-2} r_i r_i^T, until |T - I|_F <= ``_LEWIS_TOL``.  Zero
+    rows carry zero weight and are dropped from the returned gauge.
     """
     M = spec.basis
     p = spec.p
@@ -279,7 +277,7 @@ def lewis_position(spec: SubspaceSpec, tol: float = 1e-10,
     Q, Rt = np.linalg.qr(M)
     L = np.linalg.inv(Rt)
     residual = math.inf
-    for iteration in range(max_iter):
+    for iteration in range(_LEWIS_MAX_ITER):
         R = M @ L
         norms = np.linalg.norm(R, axis=1)
         mask = norms > 1e-300
@@ -288,41 +286,39 @@ def lewis_position(spec: SubspaceSpec, tol: float = 1e-10,
         w = np.where(mask, norms ** p, 0.0)
         T = (U * w[:, None]).T @ U
         residual = float(np.linalg.norm(T - np.eye(n)))
-        if residual <= tol:
+        if residual <= _LEWIS_TOL:
             break
         evals, evecs = np.linalg.eigh(T)
         if evals[0] <= 0:
             raise SolverError("whitening matrix lost positive definiteness")
-        L = L @ (evecs * evals ** (-0.5 * step)) @ evecs.T
+        L = L @ (evecs * evals ** (-0.5 * _LEWIS_STEP)) @ evecs.T
     else:
-        raise SolverError(f"Lewis iteration did not reach {tol:.1e} within "
-                          f"{max_iter} sweeps (residual {residual:.3e})")
+        raise SolverError(f"Lewis iteration did not reach {_LEWIS_TOL:.1e} "
+                          f"within {_LEWIS_MAX_ITER} sweeps "
+                          f"(residual {residual:.3e})")
     R = M @ L
     norms = np.linalg.norm(R, axis=1)
     keep = norms > 1e-14
-    return LewisPosition(vectors=R[keep] / norms[keep, None],
-                         weights=norms[keep] ** p, change_of_basis=L,
-                         p=p, residual=residual, iterations=iteration)
+    system = BLSystem(R[keep] / norms[keep, None], norms[keep] ** p)
+    return LewisPosition(gauge=WeightedLpGauge(system, p), change_of_basis=L,
+                         residual=residual, iterations=iteration)
 
 
-def inscribed_radius_check(vectors, weights, p: float, seed: int = 0,
-                           count: int = 1000, tol: float = 1e-9) -> float:
+def inscribed_radius_check(gauge: WeightedLpGauge) -> float:
     """Guaranteed Euclidean ball radius inside a Lewis-position unit ball.
 
     Returns n^{1/2 - 1/p} for p <= 2 and 1 for p > 2, after verifying
-    gauge(x) <= |x| / radius on ``count`` random unit vectors (the two
-    Hoelder cases); a violation beyond ``tol`` signals an invalid
-    decomposition.
+    gauge(x) <= |x| / radius on ``_RADIUS_PROBE_COUNT`` seeded random unit
+    vectors (the two Hoelder cases); a violation beyond ``_RADIUS_PROBE_TOL``
+    signals an invalid decomposition.
     """
-    U = np.atleast_2d(np.asarray(vectors, dtype=float))
-    n = U.shape[1]
-    radius = lp_ball_inscribed_radius(n, p)
-    gauge = WeightedLpGauge(U, weights, p)
-    rng = rng_from_seed(seed)
-    x = rng.standard_normal((count, n))
+    n = gauge.dim
+    radius = lp_ball_inscribed_radius(n, gauge.p)
+    rng = rng_from_seed(_RADIUS_PROBE_SEED)
+    x = rng.standard_normal((_RADIUS_PROBE_COUNT, n))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     worst = float((gauge(x) - 1.0 / radius).max())
-    if worst > tol:
+    if worst > _RADIUS_PROBE_TOL:
         raise ValueError(f"gauge exceeds |x|/radius by {worst:.3e}; "
                          "the decomposition is invalid")
     return radius
@@ -336,17 +332,21 @@ def subspace_volume_ratio(spec: SubspaceSpec, mc: McParams) -> Estimate:
     radius min(1, n^{1/2-1/p}); the result never exceeds the volume ratio
     of l_p^n beyond Monte Carlo noise.
     """
+    return _lewis_volume_ratio(spec, mc)[1]
+
+
+def _lewis_volume_ratio(spec: SubspaceSpec, mc: McParams):
+    """(Lewis position, volume-ratio estimate) of ``spec`` from one solve."""
     from .bodies import unit_ball_volume
 
     lewis = lewis_position(spec)
-    gauge = lewis.gauge()
-    volume = gauge_integral_volume(gauge.unit_ball_oracle(), spec.p, mc)
+    volume = gauge_integral_volume(lewis.gauge.unit_ball_oracle(), spec.p, mc)
     n = spec.n
-    rho = inscribed_radius_check(lewis.vectors, lewis.weights, spec.p)
+    rho = inscribed_radius_check(lewis.gauge)
     denom = unit_ball_volume(n) * rho ** n
     vr = (volume.value / denom) ** (1.0 / n)
     se = vr * volume.std_error / (n * volume.value)
-    return Estimate(vr, se, mc.sample_count)
+    return lewis, Estimate(vr, se, mc.sample_count)
 
 
 class L1VolumeRatioBound(NamedTuple):

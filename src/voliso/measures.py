@@ -23,19 +23,15 @@ class McParams:
     """Sample budget for one Monte Carlo run.
 
     The same (seed, sample_count) always reproduces the same estimate bit
-    for bit; ``batch`` only limits working memory.  Acceptance-grade runs
-    use at least 1000 samples.
+    for bit.  Acceptance-grade runs use at least 1000 samples.
     """
 
     sample_count: int
     seed: int = 0
-    batch: int = 1 << 16
 
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
-        if self.batch < 1:
-            raise ValueError("batch must be positive")
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,7 @@ def mc_volume(body: BodyOracle, mc: McParams) -> Estimate:
     n, R = body.dim, body.radius
     box_volume = (2.0 * R) ** n
     hits = 0
-    for size in batch_sizes(mc.sample_count, mc.batch):
+    for size in batch_sizes(mc.sample_count):
         pts = rng.uniform(-R, R, size=(size, n))
         hits += int(np.count_nonzero(body.member(pts)))
     p = hits / mc.sample_count
@@ -138,7 +134,7 @@ def cauchy_surface_area(V: VPolytope, mc: McParams) -> Estimate:
     areas, normals = _boundary(V)
     rng = rng_from_seed(mc.seed)
     acc = RunningMean()
-    for size in batch_sizes(mc.sample_count, mc.batch):
+    for size in batch_sizes(mc.sample_count):
         thetas = sphere_points(rng, size, n)
         acc.add(_shadows(areas, normals, thetas))
     return Estimate(factor * acc.mean, factor * acc.std_error, mc.sample_count)
@@ -156,7 +152,7 @@ def petty_functional(V: VPolytope, mc: McParams) -> Estimate:
     areas, normals = _boundary(V)
     rng = rng_from_seed(mc.seed)
     acc = RunningMean()
-    for size in batch_sizes(mc.sample_count, mc.batch):
+    for size in batch_sizes(mc.sample_count):
         thetas = sphere_points(rng, size, n)
         acc.add(_shadows(areas, normals, thetas) ** (-float(n)))
     inner = acc.mean

@@ -1,8 +1,9 @@
 """Seeded Monte Carlo plumbing: proposals, batching, running estimates.
 
 Every estimator in the package draws from a single PCG64 stream per call,
-consumed sequentially in batches.  Batch boundaries never change which
-variates are drawn, so an estimate depends only on (seed, sample_count).
+consumed sequentially in batches of a fixed size, ``BATCH``.  The variates
+and the float sums over them are then fixed by the seed and the sample
+count, so an estimate depends only on (seed, sample_count).
 """
 from __future__ import annotations
 
@@ -18,10 +19,13 @@ def rng_from_seed(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def batch_sizes(total: int, batch: int):
+BATCH = 1 << 16
+
+
+def batch_sizes(total: int):
     done = 0
     while done < total:
-        size = min(batch, total - done)
+        size = min(BATCH, total - done)
         yield size
         done += size
 

@@ -220,11 +220,11 @@ def test_criterion_08_gauge_integral_volumes():
     checks = []
     for n in (2, 3):
         l1 = gauge_integral_volume(
-            WeightedLpGauge(np.eye(n), np.ones(n), 1.0).unit_ball_oracle(),
+            WeightedLpGauge(BLSystem(np.eye(n), np.ones(n)), 1.0).unit_ball_oracle(),
             1.0, McParams(mc, seed=40_000 + n))
         checks.append((l1, lp_ball_volume(n, 1.0), f"l1 n={n}"))
         l2 = gauge_integral_volume(
-            WeightedLpGauge(np.eye(n), np.ones(n), 2.0).unit_ball_oracle(),
+            WeightedLpGauge(BLSystem(np.eye(n), np.ones(n)), 2.0).unit_ball_oracle(),
             2.0, McParams(mc, seed=40_100 + n))
         checks.append((l2, unit_ball_volume(n), f"l2 n={n}"))
     mc_ok = all(est.agrees_with(exact) for est, exact, _ in checks)
@@ -242,7 +242,7 @@ def test_criterion_09_product_volume_bound():
     equal_ok = True
     details = []
     for index, p in enumerate((1.0, 1.5, 2.0, 3.0)):
-        gauge = WeightedLpGauge(np.eye(2), np.ones(2), p)
+        gauge = WeightedLpGauge(BLSystem(np.eye(2), np.ones(2)), p)
         report = verify_product_volume_bound(gauge, np.ones(2),
                               McParams(1_000_000, seed=41_000 + index))
         gap = abs(report.volume.value - report.bound)
@@ -255,8 +255,8 @@ def test_criterion_09_product_volume_bound():
         p = (1.0, 1.5, 2.0, 3.0)[index % 4]
         d = 2 + index % 2
         system = random_system(d, int(rng.integers(d, 7)), rng)
-        gauge = WeightedLpGauge(system.vectors,
-                                rng.uniform(0.3, 3.0, size=system.size), p)
+        alphas = rng.uniform(0.3, 3.0, size=system.size)
+        gauge = WeightedLpGauge(BLSystem(system.vectors, alphas), p)
         report = verify_product_volume_bound(gauge, system.weights,
                               McParams(150_000, seed=43_000 + index))
         violations += not report.satisfied

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from voliso import (BLSystem, Density1D, McParams, bl_ratio, cube_volume_bound,
                     lift_to_cone, polytope_volume, reverse_isoperimetric_constant,
-                    simplex_volume_bound, verify_decomposition, vrep_from_hrep)
+                    simplex_volume_bound, vrep_from_hrep)
 from voliso.brascamp_lieb import random_system
 from voliso.sampling import StudentTProposal, rng_from_seed
 from voliso.shapes import regular_simplex, simplex_contact_directions
@@ -40,23 +40,22 @@ def grid_quadrature_ratio(system, densities, extent=6.0, points=2001):
 
 class TestVerifyDecomposition:
     def test_orthonormal_all_zero(self):
-        rep = verify_decomposition(BLSystem(np.eye(3), np.ones(3)))
-        assert rep.frobenius_residual == 0.0
-        assert rep.trace_gap == 0.0
-        # the basis itself is not centered; the report just states the fact
-        assert rep.barycenter_norm == pytest.approx(math.sqrt(3), abs=1e-15)
+        system = BLSystem(np.eye(3), np.ones(3))
+        assert system.frobenius_residual() == 0.0
+        assert system.trace_gap() == 0.0
+        # the basis itself is not centered; the method just states the fact
+        assert system.barycenter_norm() == pytest.approx(math.sqrt(3), abs=1e-15)
 
     def test_square_system_zero(self):
-        rep = verify_decomposition(square_system())
-        assert rep.frobenius_residual < 1e-15
-        assert rep.trace_gap < 1e-15
-        assert rep.barycenter_norm < 1e-15
+        system = square_system()
+        assert system.frobenius_residual() < 1e-15
+        assert system.trace_gap() < 1e-15
+        assert system.barycenter_norm() < 1e-15
 
     def test_perturbed_weights_report_trace_gap(self):
         system = BLSystem([[1, 0], [-1, 0], [0, 1], [0, -1]], [0.51] * 4)
-        rep = verify_decomposition(system)
-        assert rep.trace_gap == pytest.approx(0.04, abs=1e-12)
-        assert rep.frobenius_residual == pytest.approx(
+        assert system.trace_gap() == pytest.approx(0.04, abs=1e-12)
+        assert system.frobenius_residual() == pytest.approx(
             math.sqrt(2) * 0.02, abs=1e-12)
 
     def test_constructor_rejects_bad_input(self):
@@ -67,9 +66,9 @@ class TestVerifyDecomposition:
 
     def test_random_system_is_exact(self):
         for seed in range(5):
-            rep = verify_decomposition(random_system(3, 7, seed))
-            assert rep.frobenius_residual < 1e-12
-            assert rep.trace_gap < 1e-12
+            system = random_system(3, 7, seed)
+            assert system.frobenius_residual() < 1e-12
+            assert system.trace_gap() < 1e-12
 
 
 class TestBlRatio:
@@ -161,17 +160,15 @@ class TestLiftToCone:
     def test_triangle_system(self):
         lifted = lift_to_cone(triangle_system())
         assert np.allclose(lifted.weights, 1.0, atol=1e-12)
-        rep = verify_decomposition(lifted)
-        assert rep.frobenius_residual <= 1e-12
-        assert rep.trace_gap <= 1e-12
+        assert lifted.frobenius_residual() <= 1e-12
+        assert lifted.trace_gap() <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_simplex_directions_lift_exactly(self, n):
         system = BLSystem(simplex_contact_directions(n),
                           np.full(n + 1, n / (n + 1)))
         lifted = lift_to_cone(system)
-        rep = verify_decomposition(lifted)
-        assert rep.frobenius_residual <= 1e-10
+        assert lifted.frobenius_residual() <= 1e-10
         assert abs(lifted.weights.sum() - (n + 1)) <= 1e-10
         assert np.allclose(np.linalg.norm(lifted.vectors, axis=1), 1.0, atol=1e-12)
 

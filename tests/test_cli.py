@@ -133,6 +133,29 @@ class TestLpCommand:
                                     "--samples", "100000"])
         assert code == 0
 
+    def test_one_lewis_solve_per_call(self, capsys, monkeypatch, tmp_path):
+        import voliso.cli as cli
+        import voliso.lp_spaces as lp_spaces
+
+        calls = []
+        original = lp_spaces.lewis_position
+
+        def counted(spec):
+            calls.append(spec)
+            return original(spec)
+
+        # rebind the name in every module that holds it
+        for module in (cli, lp_spaces):
+            if getattr(module, "lewis_position", None) is original:
+                monkeypatch.setattr(module, "lewis_position", counted)
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps({"m": 3, "n": 2, "p": 1.5,
+                                    "basis": [[1, 0], [0, 1], [1, 1]]}))
+        code, _, _ = run(capsys, ["lp", "--input", str(path),
+                                  "--samples", "1000"])
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestBlCommand:
     def test_square_gaussians(self, capsys, square_system_file):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from voliso import (BodyOracle, GaugeError, HPolytope, L1_VR_LIMIT, McParams,
+from voliso import (BLSystem, BodyOracle, GaugeError, HPolytope, L1_VR_LIMIT, McParams,
                     SubspaceSpec, WeightedLpGauge, gauge_integral_volume,
                     hrep_from_vrep, inscribed_radius_check, l1_vr_bound,
                     lewis_position, lp_ball_volume, lp_ball_volume_ratio,
@@ -15,11 +15,15 @@ from voliso.shapes import cross_polytope, lp_ball_polygon
 MC = McParams(sample_count=400_000, seed=3)
 
 
+def lp_gauge(vectors, alphas, p):
+    return WeightedLpGauge(BLSystem(vectors, alphas), p)
+
+
 def hexagon_gauge():
     """Three directions at 60 degrees with the Lewis normalization, p = 1."""
     ang = np.pi * np.arange(3) / 3
     U = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return WeightedLpGauge(U, [2 / 3] * 3, 1.0)
+    return lp_gauge(U, [2 / 3] * 3, 1.0)
 
 
 class TestLpBallVolume:
@@ -44,12 +48,12 @@ class TestLpBallVolume:
 
 class TestGaugeVolume:
     def test_euclidean_ball_n3(self):
-        gauge = WeightedLpGauge(np.eye(3), np.ones(3), 2.0)
+        gauge = lp_gauge(np.eye(3), np.ones(3), 2.0)
         est = gauge_integral_volume(gauge.unit_ball_oracle(), 2.0, MC)
         assert est.agrees_with(4 * math.pi / 3)
 
     def test_l1_ball_n2(self):
-        gauge = WeightedLpGauge(np.eye(2), np.ones(2), 1.0)
+        gauge = lp_gauge(np.eye(2), np.ones(2), 1.0)
         est = gauge_integral_volume(gauge.unit_ball_oracle(), 1.0, MC)
         assert est.agrees_with(2.0)
 
@@ -62,7 +66,7 @@ class TestGaugeVolume:
         assert est.agrees_with(8.0)
 
     def test_requires_finite_p(self):
-        gauge = WeightedLpGauge(np.eye(2), np.ones(2), 1.0)
+        gauge = lp_gauge(np.eye(2), np.ones(2), 1.0)
         with pytest.raises(ValueError):
             gauge_integral_volume(gauge.unit_ball_oracle(), math.inf, MC)
 
@@ -81,7 +85,7 @@ class TestGaugeVolume:
 
     def test_gauge_rejects_nonspanning_vectors(self):
         with pytest.raises(GaugeError):
-            WeightedLpGauge([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0], 2.0)
+            lp_gauge([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0], 2.0)
 
 
 class TestProductVolumeBound:
@@ -110,7 +114,7 @@ class TestProductVolumeBound:
             product_volume_bound([1.0, 1.0], [1.0, 1.0], 2.0, 3)
 
     def test_canonical_equality_within_mc_error(self):
-        gauge = WeightedLpGauge(np.eye(2), np.ones(2), 1.0)
+        gauge = lp_gauge(np.eye(2), np.ones(2), 1.0)
         report = verify_product_volume_bound(gauge, np.ones(2), MC)
         assert report.satisfied
         assert abs(report.volume.value - report.bound) <= 3 * report.volume.std_error
@@ -120,10 +124,10 @@ class TestProductVolumeBound:
         # exact hexagon area from the facet description of the unit ball
         signs = np.array([[s1, s2, s3] for s1 in (-1, 1) for s2 in (-1, 1)
                           for s3 in (-1, 1)], dtype=float)
-        normals = (signs * gauge.alphas) @ gauge.vectors
+        normals = (signs * gauge.system.weights) @ gauge.system.vectors
         ball = HPolytope(normals, np.ones(len(normals)), validate=False)
         exact = polytope_volume(vrep_from_hrep(ball))
-        bound = product_volume_bound([2 / 3] * 3, gauge.alphas, 1.0, 2)
+        bound = product_volume_bound([2 / 3] * 3, gauge.system.weights, 1.0, 2)
         assert exact < bound - 0.05          # strict gap, hexagon is not l_1^2
         report = verify_product_volume_bound(gauge, [2 / 3] * 3, MC)
         assert report.satisfied
@@ -137,13 +141,13 @@ class TestProductVolumeBound:
         for _ in range(3):
             system = random_system(2, int(rng.integers(3, 7)), rng)
             alphas = rng.uniform(0.3, 3.0, size=system.size)
-            gauge = WeightedLpGauge(system.vectors, alphas, p)
+            gauge = lp_gauge(system.vectors, alphas, p)
             report = verify_product_volume_bound(gauge, system.weights,
                                   McParams(150_000, seed=int(rng.integers(1 << 16))))
             assert report.satisfied
 
     def test_invalid_decomposition_rejected(self):
-        gauge = WeightedLpGauge(np.eye(2), np.ones(2), 2.0)
+        gauge = lp_gauge(np.eye(2), np.ones(2), 2.0)
         with pytest.raises(ValueError):
             verify_product_volume_bound(gauge, [1.0, 2.0], MC)
 
@@ -152,8 +156,8 @@ class TestLewisPosition:
     def test_identity_embedding(self):
         spec = SubspaceSpec(np.eye(3), 1.5)
         lewis = lewis_position(spec)
-        assert np.allclose(np.abs(lewis.vectors), np.eye(3), atol=1e-12)
-        assert np.allclose(lewis.weights, 1.0, atol=1e-12)
+        assert np.allclose(np.abs(lewis.gauge.system.vectors), np.eye(3), atol=1e-12)
+        assert np.allclose(lewis.gauge.system.weights, 1.0, atol=1e-12)
 
     def test_p2_is_orthonormalization(self):
         rng = np.random.default_rng(1)
@@ -168,8 +172,9 @@ class TestLewisPosition:
         lewis = lewis_position(spec)
         expected = np.abs(m_col.ravel()) ** 1.5
         expected /= expected.sum()
-        assert np.allclose(np.sort(lewis.weights), np.sort(expected), atol=1e-10)
-        assert np.allclose(np.abs(lewis.vectors), 1.0)
+        assert np.allclose(np.sort(lewis.gauge.system.weights), np.sort(expected),
+                           atol=1e-10)
+        assert np.allclose(np.abs(lewis.gauge.system.vectors), 1.0)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     def test_random_subspaces_converge(self, p):
@@ -187,24 +192,25 @@ class TestLewisPosition:
         lewis = lewis_position(spec)
         x = rng.standard_normal((100, 3))
         subspace_norm = spec.norm(x @ lewis.change_of_basis.T)
-        represented = lewis.gauge()(x)
+        represented = lewis.gauge(x)
         assert np.max(np.abs(subspace_norm - represented)) <= 1e-8
 
 
 class TestInscribedRadius:
     def test_p2_radius_one(self):
-        assert inscribed_radius_check(np.eye(3), np.ones(3), 2.0) == 1.0
+        assert inscribed_radius_check(lp_gauge(np.eye(3), np.ones(3), 2.0)) == 1.0
 
     def test_p1_n4(self):
-        assert inscribed_radius_check(np.eye(4), np.ones(4), 1.0) == pytest.approx(0.5)
+        radius = inscribed_radius_check(lp_gauge(np.eye(4), np.ones(4), 1.0))
+        assert radius == pytest.approx(0.5)
 
     def test_p3_radius_one(self):
-        assert inscribed_radius_check(np.eye(3), np.ones(3), 3.0) == 1.0
+        assert inscribed_radius_check(lp_gauge(np.eye(3), np.ones(3), 3.0)) == 1.0
 
     def test_violation_detected(self):
         # doubled weights break sum c = n, gauge exceeds the certified slope
         with pytest.raises(ValueError):
-            inscribed_radius_check(np.eye(2), [4.0, 4.0], 1.0)
+            inscribed_radius_check(lp_gauge(np.eye(2), [4.0, 4.0], 1.0))
 
 
 class TestSubspaceVolumeRatio:
