@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Estimate, McParams
-from .sampling import StudentTProposal, RunningMean, batch_sizes, rng_from_seed
+from .sampling import (StudentTProposal, RunningMean, batches, matmul_rows,
+                       rng_from_seed)
 
 # largest |sum c_i u_i| that lift_to_cone accepts as centered
 _BARYCENTER_TOL = 1e-8
@@ -226,14 +227,13 @@ def bl_ratio(system: BLSystem, densities, mc: McParams) -> Estimate:
     rng = rng_from_seed(mc.seed)
     acc = RunningMean()
     with np.errstate(invalid="ignore"):
-        for size in batch_sizes(mc.sample_count):
-            X = proposal.sample(rng, size)
-            dots = X @ system.vectors.T                       # (size, m)
+        for X in batches(rng, proposal.sample, mc.sample_count):
+            dots = matmul_rows(X, system.vectors.T)           # (size, m)
             log_f = np.empty_like(dots)
             for i, f in enumerate(densities):
                 log_f[:, i] = f.log_density(dots[:, i])
             # 0^c := 0 for c > 0: -inf * c stays -inf, exp gives 0
-            log_num = log_f @ c
+            log_num = matmul_rows(log_f, c)
             h = np.exp(log_num - log_rhs - proposal.logpdf(X))
             acc.add(np.where(np.isfinite(h), h, 0.0))
     return Estimate(acc.mean, acc.std_error, mc.sample_count)

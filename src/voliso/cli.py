@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shapes
-from .bodies import (HPolytope, apply_affine, hrep_from_vrep, read_polytope,
-                     unit_ball_volume, vrep_from_hrep)
+from .bodies import (Ellipsoid, HPolytope, VPolytope, apply_affine,
+                     hrep_from_vrep, read_polytope, unit_ball_volume,
+                     vrep_from_hrep)
 from .brascamp_lieb import (BLSystem, Density1D, bl_ratio,
                             reverse_isoperimetric_constant)
-from .errors import VolisoError
+from .errors import DegenerateBodyError, VolisoError
 from .john import (contact_points, john_decomposition, john_position,
                    max_inscribed_ellipsoid)
 from .lp_spaces import (L1_VR_LIMIT, SubspaceSpec, _lewis_volume_ratio,
@@ -110,11 +111,22 @@ def _mc_params(args) -> McParams:
 
 def cmd_john(args) -> int:
     body = read_polytope(args.input)
+    shift = None
     if not isinstance(body, HPolytope):
-        body = hrep_from_vrep(body)
+        try:
+            body = hrep_from_vrep(body)
+        except DegenerateBodyError:
+            # the origin is not inside the hull: solve about the vertex
+            # centroid, which is, and move the ellipsoid back (John's
+            # ellipsoid commutes with translations)
+            shift = body.vertices.mean(axis=0)
+            body = hrep_from_vrep(VPolytope(body.vertices - shift))
     ellipsoid, info = max_inscribed_ellipsoid(body, full_output=True)
     transform = ellipsoid.as_map().inverse()
     image = apply_affine(body, transform)
+    if shift is not None:
+        ellipsoid = Ellipsoid(ellipsoid.shape, ellipsoid.center + shift)
+        transform = ellipsoid.as_map().inverse()
     contacts = contact_points(image)
     decomposition = john_decomposition(contacts, symmetric=args.symmetric)
     config = ExperimentConfig(command="john", source=args.input,

@@ -25,7 +25,7 @@ from .bodies import BodyOracle
 from .brascamp_lieb import BLSystem
 from .errors import GaugeError, SolverError
 from .measures import Estimate, McParams
-from .sampling import (StudentTProposal, RunningMean, batch_sizes,
+from .sampling import (StudentTProposal, RunningMean, batches, matmul_rows,
                        rng_from_seed, sphere_points)
 
 L1_VR_LIMIT = math.sqrt(2.0 * math.e / math.pi)
@@ -96,8 +96,8 @@ class WeightedLpGauge:
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dots = np.abs(pts @ self.system.vectors.T)
-        return (dots ** self.p @ self.system.weights) ** (1.0 / self.p)
+        dots = np.abs(matmul_rows(pts, self.system.vectors.T))
+        return matmul_rows(dots ** self.p, self.system.weights) ** (1.0 / self.p)
 
     def bounding_radius(self) -> float:
         """Rigorous R with {gauge <= 1} contained in R * unit ball.
@@ -141,8 +141,7 @@ def gauge_integral_volume(body: BodyOracle, p: float, mc: McParams) -> Estimate:
     scale = float(np.median(radii)) * max(1.0, (n / p) ** (1.0 / p)) * 1.3
     proposal = StudentTProposal(dim=n, scale=scale)
     acc = RunningMean()
-    for size in batch_sizes(mc.sample_count):
-        X = proposal.sample(rng, size)
+    for X in batches(rng, proposal.sample, mc.sample_count):
         values = np.asarray(body.gauge(X), dtype=float)
         acc.add(np.exp(-values ** p - proposal.logpdf(X)))
     norm = math.exp(-math.lgamma(1.0 + n / p))

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .bodies import BodyOracle, VPolytope, unit_ball_volume
-from .sampling import RunningMean, batch_sizes, rng_from_seed, sphere_points
+from .sampling import (RunningMean, batches, matmul_rows, rng_from_seed,
+                       sphere_points)
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,8 @@ def mc_volume(body: BodyOracle, mc: McParams) -> Estimate:
     n, R = body.dim, body.radius
     box_volume = (2.0 * R) ** n
     hits = 0
-    for size in batch_sizes(mc.sample_count):
-        pts = rng.uniform(-R, R, size=(size, n))
+    for pts in batches(rng, lambda rng, size: rng.uniform(-R, R, size=(size, n)),
+                       mc.sample_count):
         hits += int(np.count_nonzero(body.member(pts)))
     p = hits / mc.sample_count
     se = box_volume * math.sqrt(max(p * (1.0 - p), 0.0) / mc.sample_count)
@@ -116,7 +118,7 @@ def projection_area(V: VPolytope, theta, mc: McParams | None = None) -> float:
 def _shadows(areas: np.ndarray, normals: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Cauchy's projection formula: the shadow along a unit theta is half
     the facet areas weighted by |<facet normal, theta>|."""
-    return 0.5 * np.abs(thetas @ normals.T) @ areas
+    return 0.5 * matmul_rows(np.abs(matmul_rows(thetas, normals.T)), areas)
 
 
 def _shadow_values(V: VPolytope, thetas: np.ndarray) -> np.ndarray:
@@ -134,8 +136,7 @@ def cauchy_surface_area(V: VPolytope, mc: McParams) -> Estimate:
     areas, normals = _boundary(V)
     rng = rng_from_seed(mc.seed)
     acc = RunningMean()
-    for size in batch_sizes(mc.sample_count):
-        thetas = sphere_points(rng, size, n)
+    for thetas in batches(rng, partial(sphere_points, dim=n), mc.sample_count):
         acc.add(_shadows(areas, normals, thetas))
     return Estimate(factor * acc.mean, factor * acc.std_error, mc.sample_count)
 
@@ -152,8 +153,7 @@ def petty_functional(V: VPolytope, mc: McParams) -> Estimate:
     areas, normals = _boundary(V)
     rng = rng_from_seed(mc.seed)
     acc = RunningMean()
-    for size in batch_sizes(mc.sample_count):
-        thetas = sphere_points(rng, size, n)
+    for thetas in batches(rng, partial(sphere_points, dim=n), mc.sample_count):
         acc.add(_shadows(areas, normals, thetas) ** (-float(n)))
     inner = acc.mean
     value = (vol ** (n - 1) * inner) ** (-1.0 / n)

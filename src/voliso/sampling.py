@@ -4,10 +4,16 @@ Every estimator in the package draws from a single PCG64 stream per call,
 consumed sequentially in batches of a fixed size, ``BATCH``.  The variates
 and the float sums over them are then fixed by the seed and the sample
 count, so an estimate depends only on (seed, sample_count).
+
+``batches`` draws the next batch on one worker thread while the caller
+evaluates the current one.  The stream is still read in order, by one
+thread at a time, so the contract is unchanged; each call owns its
+Generator and its worker, so estimators stay safe to call concurrently.
 """
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +28,51 @@ def rng_from_seed(seed) -> np.random.Generator:
 BATCH = 1 << 16
 
 
-def batch_sizes(total: int):
-    done = 0
-    while done < total:
-        size = min(BATCH, total - done)
-        yield size
-        done += size
+def batches(rng: np.random.Generator, draw, total: int):
+    """Yield ``draw(rng, size)`` for ``total`` samples in batches of BATCH,
+    the last one short.
+
+    The first batch is drawn inline.  While the caller works on batch k, one
+    worker thread draws batch k+1; it is the only thread that touches ``rng``
+    meanwhile, and nothing is drawn past the last batch, so the variates are
+    those of drawing every batch in turn.  The worker is joined before the
+    last batch is yielded, and when the caller stops early or raises; an
+    error inside ``draw`` reaches the caller.
+    """
+    sizes = [min(BATCH, total - done) for done in range(0, total, BATCH)]
+    if not sizes:
+        return
+    batch = draw(rng, sizes[0])
+    if len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            for size in sizes[1:]:
+                ahead = worker.submit(draw, rng, size)
+                yield batch
+                batch = ahead.result()
+    yield batch
+
+
+# OpenBLAS spreads a product with many rows over its own threads, which then
+# take the core the worker of ``batches`` draws on.  A product of ROW_BLOCK
+# rows stays on the calling thread, and each row comes out the same bits
+# whichever block of two or more rows holds it.
+ROW_BLOCK = 8192
+
+
+def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D ``a``, computed ROW_BLOCK rows at a time.
+
+    A last block of one row joins the block before it: BLAS takes a single
+    row as a vector product, which may sum in another order.
+    """
+    rows = a.shape[0]
+    out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
+    bounds = list(range(0, rows, ROW_BLOCK)) + [rows]
+    if rows > 1 and rows % ROW_BLOCK == 1:
+        del bounds[-2]
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
 
 
 def sphere_points(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:

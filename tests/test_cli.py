@@ -52,6 +52,26 @@ class TestJohnCommand:
         assert np.allclose(report["decomposition"]["weights"], 2 / 3, atol=1e-6)
         assert report["residuals"]["barycenter"] <= 1e-8
 
+    def test_vfile_missing_origin_gives_steiner_inellipse(self, capsys, tmp_path):
+        # conv{(1,1), (3,1), (1,2)} does not contain the origin; its John
+        # ellipsoid is the Steiner inellipse, centred at the centroid with
+        # area pi / (3 sqrt 3) times the triangle's area 1
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps({"dim": 2, "kind": "V",
+                                    "rows": [[1, 1], [3, 1], [1, 2]]}))
+        code, out, _ = run(capsys, ["john", "--input", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        center = np.array(report["ellipsoid"]["center"])
+        assert np.allclose(center, [5 / 3, 4 / 3], rtol=0, atol=1e-9)
+        assert report["ellipsoid"]["volume"] == pytest.approx(
+            np.pi / (3 * np.sqrt(3)), rel=0, abs=1e-9)
+        # the John map is reported in the file's coordinates: it sends the
+        # centre to the origin
+        john_map = report["john_map"]
+        assert np.allclose(np.array(john_map["linear"]) @ center + john_map["shift"],
+                           0.0, rtol=0, atol=1e-9)
+
     def test_unbounded_input_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
