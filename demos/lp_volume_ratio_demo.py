@@ -8,8 +8,8 @@ the L_1 bound toward its dimension-free limit sqrt(2e/pi).
 import numpy as np
 
 from voliso import (L1_VR_LIMIT, McParams, SubspaceSpec, l1_vr_bound,
-                    lewis_position, lp_ball_volume, lp_ball_volume_ratio,
-                    subspace_volume_ratio)
+                    lp_ball_volume, lp_ball_volume_ratio)
+from voliso.lp_spaces import _lewis_volume_ratio
 
 MC = McParams(sample_count=300_000, seed=9)
 
@@ -36,8 +36,7 @@ def main():
         print(f"  p={p}: vr(l_p^2) = {reference:.5f}")
         for m in (3, 5, 8):
             spec = SubspaceSpec(rng.standard_normal((m, 2)), p)
-            lewis = lewis_position(spec)
-            est = subspace_volume_ratio(spec, MC)
+            lewis, est = _lewis_volume_ratio(spec, MC)   # one Lewis solve
             system = lewis.gauge.system
             print(f"    random 2-dim subspace of l_p^{m}: vr = {est.value:.5f} "
                   f"+- {est.std_error:.5f}  (Lewis residual {lewis.residual:.1e}, "

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import DegenerateBodyError, UnboundedBodyError
@@ -63,19 +63,15 @@ def chebyshev_center(normals, offsets):
 def _check_bounded(normals):
     """Boundedness of {Ax <= b} with b > 0 and unit rows of A.
 
-    Bounded iff the normals positively span R^n, i.e. rank(A) = n and the
-    recession cone {w : Aw <= 0} is trivial.  The cone test is one LP:
-    maximize sum(xi) over |w|_inf <= 1, 0 <= xi <= 1, Aw + xi <= 0.
+    Bounded iff the normals positively span R^n: rank(A) = n and some
+    lambda >= 1 has sum lambda_i a_i = 0, found by one NNLS solve in
+    lambda - 1 with residual at most 1e-9.  nnls raising RuntimeError at
+    its iteration cap (3m) is not a verdict, so it propagates.
     """
     A = np.asarray(normals, dtype=float)
-    m, n = A.shape
-    if np.linalg.matrix_rank(A, tol=1e-10) < n:
+    if np.linalg.matrix_rank(A, tol=1e-10) < A.shape[1]:
         return False
-    c = np.concatenate([np.zeros(n), -np.ones(m)])
-    A_ub = np.hstack([A, np.eye(m)])
-    bounds = [(-1, 1)] * n + [(0, 1)] * m
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(m), bounds=bounds, method="highs")
-    return res.status == 0 and -res.fun <= 1e-9
+    return float(nnls(A.T, -A.sum(axis=0))[1]) <= 1e-9
 
 
 @dataclass(frozen=True, eq=False)

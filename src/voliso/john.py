@@ -32,6 +32,7 @@ package's one type for an identity decomposition.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,7 +60,13 @@ _DROP_TOL = 1e-10          # contacts of smaller weight leave the decomposition
 # ---------------------------------------------------------------------------
 
 class _SymIndex:
-    """Index arrays for the packed lower triangle of a symmetric n x n matrix."""
+    """Index arrays for the packed lower triangle of a symmetric n x n matrix.
+
+    ``full`` gathers packed entries into a row-major matrix; a matmul with
+    the duplication matrix ``dup`` sums a row-major entry with its mirror.
+    Each such sum has at most two nonzero terms, so it rounds exactly as
+    the elementwise sum does.
+    """
 
     def __init__(self, n: int):
         pairs = [(j, k) for j in range(n) for k in range(j + 1)]
@@ -68,12 +75,15 @@ class _SymIndex:
         self.rows = np.array([j for j, _ in pairs])
         self.cols = np.array([k for _, k in pairs])
         self.diag = self.rows == self.cols
-        # duplication matrix: vec_F(B) = D @ packed(B)
+        # duplication matrix: vec_F(B) = D @ packed(B) = packed(B)[full]
         D = np.zeros((n * n, self.q))
+        full = np.empty(n * n, dtype=np.intp)
         for col, (j, k) in enumerate(pairs):
             D[k * n + j, col] = 1.0
             D[j * n + k, col] = 1.0
+            full[k * n + j] = full[j * n + k] = col
         self.dup = D
+        self.full = full
         # curvature tensor: for tangents T_a = e_j a_k + e_k a_j the Gram
         # matrix <T_a, T_b> is a fixed linear function of outer(a, a); C maps
         # outer(a, a) to that Gram matrix, with diagonal tangents halved
@@ -86,26 +96,21 @@ class _SymIndex:
                                      (k, l, j, m), (k, m, j, l)):
                     if r == s:
                         C[a_idx, b_idx, t, u] += f
-        self.curvature = C
+        self.curvature = C.reshape(self.q * self.q, n * n)
 
     def to_matrix(self, packed: np.ndarray) -> np.ndarray:
-        B = np.zeros((self.n, self.n))
-        B[self.rows, self.cols] = packed
-        B[self.cols, self.rows] = packed
-        return B
+        return packed[self.full].reshape(self.n, self.n)
 
     def from_matrix_grad(self, G: np.ndarray) -> np.ndarray:
         """Packed gradient from a full-matrix gradient with independent entries."""
-        g = G[self.rows, self.cols] + G[self.cols, self.rows]
-        g[self.diag] *= 0.5
-        return g
+        return G.reshape(-1) @ self.dup
 
     def pair_products(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row-wise packed gradient of x^T B y in B: column (j,k) is
-        x_j y_k + x_k y_j off the diagonal and x_j y_j on it."""
-        P = X[:, self.rows] * Y[:, self.cols] + X[:, self.cols] * Y[:, self.rows]
-        P[:, self.diag] *= 0.5
-        return P
+        x_j y_k + x_k y_j off the diagonal and x_j y_j on it; F-ordered, as
+        fancy indexing left it, so that sums over rows keep their order."""
+        outer = (X.T[:, None, :] * Y.T[None, :, :]).reshape(self.n * self.n, -1)
+        return (self.dup.T @ outer).T
 
     def sym_entries(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row-wise packed entries of sym(x y^T) = (x y^T + y x^T) / 2."""
@@ -113,13 +118,7 @@ class _SymIndex:
                       + X[:, self.cols] * Y[:, self.rows])
 
 
-_SYM_CACHE: dict[int, _SymIndex] = {}
-
-
-def _sym_index(n: int) -> _SymIndex:
-    if n not in _SYM_CACHE:
-        _SYM_CACHE[n] = _SymIndex(n)
-    return _SYM_CACHE[n]
+_sym_index = functools.cache(_SymIndex)     # one per dimension
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +156,17 @@ def _barrier_value(sym, A, b, theta, t):
         return None
     s = b - A @ d
     V = A @ B
-    vnorm = np.linalg.norm(V, axis=1)
+    vnorm = np.sqrt(np.add.reduce(V * V, 1))     # np.linalg.norm's body, bit for bit
     slack = s - vnorm
-    if np.any(s <= 0) or np.any(slack <= 0):
+    if not slack.min() > 0:                      # slack <= s, so s > 0 too
         return None
     g = slack * (s + vnorm)
     return -t * logdet - float(np.log(g).sum()), logdet, B, d, s, V, g
 
 
 def _barrier_state(sym, A, b, point, t):
-    """Gradient and Hessian of Phi_t, and the gradient of f0 = -log det B,
-    at a feasible point as _barrier_value returns it."""
+    """Rows [grad Phi_t, grad f0] with f0 = -log det B, and the Hessian of
+    Phi_t, at a feasible point as _barrier_value returns it."""
     q = sym.q
     _, _, B, d, s, V, g = point
 
@@ -175,9 +174,10 @@ def _barrier_state(sym, A, b, point, t):
     inv_g = 1.0 / g
     # packed sym(v a^T) per constraint, and the gradient
     P1 = sym.pair_products(V, A)
-    size = q + A.shape[1]
-    grad = np.empty(size)
-    grad0 = np.zeros(size)                # gradient of f0 = -log det B
+    m, n = A.shape
+    size = q + n
+    rhs = np.zeros((2, size))
+    grad, grad0 = rhs
     grad0[:q] = -sym.from_matrix_grad(Binv)
     grad[:q] = t * grad0[:q] + 2.0 * inv_g @ P1
     grad[q:] = A.T @ (2.0 * s * inv_g)
@@ -186,16 +186,17 @@ def _barrier_state(sym, A, b, point, t):
     # (1/g^2) w w^T - (1/g) Hess(g); Hess(g) has B-block -2 Jv^T Jv
     # (assembled from the cached curvature tensor) and d-block 2 a a^T
     H = np.zeros((size, size))
-    n = B.shape[0]
     kron = np.multiply.outer(Binv, Binv).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     H[:q, :q] = t * (sym.dup.T @ kron @ sym.dup)
-    W = np.hstack([-2.0 * P1, -2.0 * s[:, None] * A])   # grad of g, row per i
+    W = np.empty((m, size))                              # grad of g, row per i
+    np.multiply(P1, -2.0, out=W[:, :q])
+    np.multiply(-2.0 * s[:, None], A, out=W[:, q:])
     Wg = W * inv_g[:, None]
     H += Wg.T @ Wg
     S2 = (A * (2.0 * inv_g)[:, None]).T @ A             # sum (2/g) a a^T
-    H[:q, :q] += np.einsum("abrs,rs->ab", sym.curvature, S2)
+    H[:q, :q] += (sym.curvature @ S2.reshape(-1)).reshape(q, q)
     H[q:, q:] -= S2
-    return grad, H, grad0
+    return rhs, H
 
 
 def _kkt_certificate(A, b, B, d, eps_contact):
@@ -229,18 +230,19 @@ def _kkt_certificate(A, b, B, d, eps_contact):
     return max(resid, comp, violation), violation
 
 
-def _newton_step(H, grad, grad0):
-    """Newton step -H^-1 grad, lambda^2 = grad . H^-1 grad, and H^-1 grad0.
+def _newton_step(H, rhs):
+    """Newton step -H^-1 grad, lambda^2 = grad . H^-1 grad, and H^-1 grad0,
+    for the rows [grad, grad0] of ``rhs``.
 
     A singular H, or a lambda^2 that is not positive (H numerically
     indefinite), gets one retry with H + 1e-12 tr(H) I; if that fails too
     the solve cannot go on and SolverError is raised.
     """
-    rhs = np.column_stack([grad, grad0])
+    grad = rhs[0]
     matrix = H
     for _ in range(2):
         try:
-            sol = np.linalg.solve(matrix, rhs)
+            sol = np.linalg.solve(matrix, rhs.T)
             dec2 = float(grad @ sol[:, 0])
         except np.linalg.LinAlgError:
             dec2 = math.nan
@@ -293,8 +295,8 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
         stages += 1
         while True:
             value = point[0]
-            grad, H, grad0 = _barrier_state(sym, A, b, point, t)
-            step, dec2, tangent = _newton_step(H, grad, grad0)
+            rhs, H = _barrier_state(sym, A, b, point, t)
+            step, dec2, tangent = _newton_step(H, rhs)
             decrement = math.sqrt(dec2)
             iterations += 1
             if dec2 / 2.0 <= _DECREMENT_TOL or iterations > _MAX_NEWTON:

@@ -65,7 +65,8 @@ def random_polytope(n: int, rng, symmetric: bool = False,
     Draws between 3n and 6n half-spaces with uniformly random unit normals,
     all tangent to a sphere of random radius; the symmetric variant mirrors
     each half-space through the origin.  Unbounded draws are rejected, up to
-    ``max_retries`` fresh draws.
+    ``max_retries`` fresh draws; the test is a rank check and one NNLS solve
+    (``bodies._check_bounded``), so a draw needs no LP.
     """
     rng = np.random.default_rng(rng)
     for _ in range(max_retries):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.optimize import linprog
 from scipy.spatial import QhullError
 
 from voliso import (AffineMap, DegenerateBodyError, HPolytope, UnboundedBodyError,
@@ -13,7 +14,8 @@ from voliso import (AffineMap, DegenerateBodyError, HPolytope, UnboundedBodyErro
                     polytope_from_dict, polytope_to_dict, polytope_volume,
                     read_polytope, unit_ball_volume, vrep_from_hrep,
                     write_polytope)
-from voliso.shapes import cube, cube_vertices, cross_polytope, random_polytope, regular_simplex
+from voliso.shapes import (cube, cube_vertices, cross_polytope, random_polytope,
+                           regular_simplex, simplex_contact_directions)
 
 
 def _vertex_set_distance(A, B):
@@ -167,6 +169,68 @@ class TestConversions:
     def test_origin_exterior_rejected(self):
         with pytest.raises(DegenerateBodyError):
             hrep_from_vrep(VPolytope(np.array([[1.0, 1], [2, 1], [1, 2], [2, 2]])))
+
+
+def _bounded_by_lp(A):
+    """The LP test that ``_check_bounded`` replaced: after the rank check,
+    maximize sum(xi) over |w|_inf <= 1, 0 <= xi <= 1, Aw + xi <= 0; the
+    recession cone {w : Aw <= 0} is trivial iff the optimum is zero."""
+    m, n = A.shape
+    if np.linalg.matrix_rank(A, tol=1e-10) < n:
+        return False
+    c = np.concatenate([np.zeros(n), -np.ones(m)])
+    res = linprog(c, A_ub=np.hstack([A, np.eye(m)]), b_ub=np.zeros(m),
+                  bounds=[(-1, 1)] * n + [(0, 1)] * m, method="highs")
+    return res.status == 0 and -res.fun <= 1e-9
+
+
+def _unit_rows(A):
+    A = np.asarray(A, dtype=float)
+    return A / np.linalg.norm(A, axis=1, keepdims=True)
+
+
+_MIRRORED = np.random.default_rng(4).standard_normal((4, 4))
+
+
+class TestCheckBounded:
+    """``_check_bounded`` is one NNLS solve; it must give the answer of the
+    LP it replaced."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_agrees_with_lp_on_seeded_draws(self, n):
+        # m from n + 1 to 6n: few normals leave many draws unbounded
+        rng = np.random.default_rng(700 + n)
+        verdicts = []
+        for m in range(n + 1, 6 * n + 1):
+            for _ in range(8):
+                A = _unit_rows(rng.standard_normal((m, n)))
+                verdict = bodies._check_bounded(A)
+                assert verdict == _bounded_by_lp(A), (m, A.tolist())
+                verdicts.append(verdict)
+        assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+    @pytest.mark.parametrize("name, normals, bounded", [
+        ("cube", np.vstack([np.eye(3), -np.eye(3)]), True),
+        ("cube missing a facet", np.vstack([np.eye(3), -np.eye(3)[:2]]), False),
+        ("rank deficient", np.vstack([np.eye(3)[:2], -np.eye(3)[:2]]), False),
+        ("half-plane with an antipodal pair", [[1.0, 0], [-1, 0], [0, 1]], False),
+        ("simplex", simplex_contact_directions(4), True),
+        ("mirrored", np.vstack([_MIRRORED, -_MIRRORED]), True),
+    ])
+    def test_edge_cases(self, name, normals, bounded):
+        A = _unit_rows(normals)
+        assert bodies._check_bounded(A) is bounded
+        assert _bounded_by_lp(A) is bounded
+
+    def test_nnls_failure_propagates(self, monkeypatch):
+        # nnls raises RuntimeError at its iteration cap; that is not a
+        # verdict, so it reaches the caller instead of reading as unbounded
+        def capped(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(bodies, "nnls", capped)
+        with pytest.raises(RuntimeError, match="Maximum number of iterations"):
+            HPolytope(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
 
 
 class TestNormalization:

@@ -7,8 +7,8 @@ from voliso import (AffineMap, HPolytope, InfeasibleDecompositionError,
                     NotJohnPositionError, SolverError, UnboundedBodyError,
                     apply_affine, bodies, contact_points,
                     john, john_decomposition, john_position,
-                    max_inscribed_ellipsoid, polytope_volume, volume_ratio,
-                    vrep_from_hrep)
+                    max_inscribed_ellipsoid, polytope_volume, read_polytope,
+                    volume_ratio, vrep_from_hrep, write_polytope)
 from voliso.shapes import (cube, lp_ball_polygon, random_affine_map,
                            random_polytope, regular_polygon, regular_simplex,
                            simplex_contact_directions)
@@ -94,14 +94,14 @@ class TestBarrierDerivatives:
             theta = np.concatenate([B[sym.rows, sym.cols], d])
             point = john._barrier_value(sym, A, b, theta, t)
             assert point is not None
-            grad, H, grad0 = john._barrier_state(sym, A, b, point, t)
+            (grad, grad0), H = john._barrier_state(sym, A, b, point, t)
 
             def value(x):
                 return john._barrier_value(sym, A, b, x, t)[0]
 
             def gradient(x):
                 return john._barrier_state(
-                    sym, A, b, john._barrier_value(sym, A, b, x, t), t)[0]
+                    sym, A, b, john._barrier_value(sym, A, b, x, t), t)[0][0]
 
             h = 1e-6 * b.min()
             E = np.eye(theta.size) * h
@@ -114,7 +114,7 @@ class TestBarrierDerivatives:
             np.testing.assert_allclose(H, fd_hess, rtol=1e-6,
                                        atol=1e-6 * np.abs(H).max())
             # grad f0 is the log det part of the gradient, per unit of t
-            barrier_only = john._barrier_state(sym, A, b, point, 0.0)[0]
+            barrier_only = john._barrier_state(sym, A, b, point, 0.0)[0][0]
             np.testing.assert_allclose(grad - barrier_only, t * grad0,
                                        rtol=1e-9, atol=1e-12 * np.abs(grad).max())
 
@@ -142,11 +142,11 @@ class TestCertifiedStop:
 
     def test_indefinite_newton_system_raises(self):
         with pytest.raises(SolverError, match="singular or indefinite"):
-            john._newton_step(-np.eye(3), np.ones(3), np.ones(3))
+            john._newton_step(-np.eye(3), np.ones((2, 3)))
 
     def test_singular_newton_system_is_regularised(self):
         step, dec2, _ = john._newton_step(np.diag([2.0, 0.0]),
-                                          np.array([1.0, 0.0]), np.ones(2))
+                                          np.array([[1.0, 0.0], [1.0, 1.0]]))
         assert dec2 == pytest.approx(0.5)
         assert step == pytest.approx([-0.5, 0.0])
 
@@ -172,14 +172,23 @@ class TestSolveInfo:
         assert np.array_equal(first.center, again.center)
         assert info == info_again
 
-    def test_no_linear_program_on_the_john_path(self, monkeypatch):
+    def test_no_linear_program_on_the_john_path(self, monkeypatch, tmp_path):
+        # drawing, validating and reading bodies tests boundedness by NNLS,
+        # the solve starts from a ball about the origin and vertex
+        # enumeration starts from the origin of the John image
+        path = tmp_path / "body.json"
+        write_polytope(path, random_polytope(4, 11))
+
         def no_lp(*args, **kwargs):
             raise AssertionError("linprog called")
 
-        P = random_polytope(3, 10)
         monkeypatch.setattr(bodies, "linprog", no_lp)
-        image, _ = john_position(P)
-        assert vrep_from_hrep(image).num_vertices > 3
+        for P in (random_polytope(3, 10), random_polytope(3, 10, symmetric=True),
+                  HPolytope(cube(3).normals, [1.0, 2.0, 3.0, 1.5, 2.5, 0.5],
+                            validate=True),
+                  read_polytope(path)):
+            image, _ = john_position(P)
+            assert vrep_from_hrep(image).num_vertices > P.dim
 
 
 def _near_facet(P, depth):

@@ -1,0 +1,71 @@
+"""Inscribed-ellipsoid solves compared bit for bit with stored ones.
+
+``data/john_solves.expected`` holds one line per body: its name, the
+solve's ``newton_iterations``, ``value_evaluations`` and ``stages``, then
+every entry of the ellipsoid's shape B and centre d as ``float.hex``.  The
+bodies cover n = 2..6, general and symmetric, bodies under a random affine
+map, a body moved to 1e-9 from a facet, ``cube(3)`` and
+``regular_simplex(4)``.  The file was written by printing ``_line(name)``
+for every case at the commit before the Newton step's numpy calls were
+trimmed, so it pins that the trimmed step does the same arithmetic.  A
+change that moves these bits changes the solver's results: it must be
+argued for on its own, not hidden by rewriting the file.
+"""
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from voliso import AffineMap, apply_affine, max_inscribed_ellipsoid
+from voliso.shapes import cube, random_affine_map, random_polytope, regular_simplex
+
+EXPECTED = Path(__file__).parent / "data" / "john_solves.expected"
+
+
+def _moved(n, seed, symmetric=False):
+    P = random_polytope(n, seed, symmetric=symmetric)
+    return apply_affine(P, random_affine_map(n, seed, max_shift=0.3))
+
+
+def _near_facet(n, seed, depth):
+    # the facets of a random polytope touch one sphere about the origin, so
+    # the foot point of facet 0 is on the body and shifting the origin
+    # towards it leaves every other slack at least ``depth``
+    P = random_polytope(n, seed)
+    shift = (P.offsets[0] - depth) * P.normals[0]
+    return apply_affine(P, AffineMap(np.eye(n), -shift))
+
+
+CASES = {
+    **{f"general-{n}": (lambda n=n: random_polytope(n, 100 + n)) for n in range(2, 7)},
+    **{f"symmetric-{n}": (lambda n=n: random_polytope(n, 200 + n, symmetric=True))
+       for n in range(2, 7)},
+    "moved-3": lambda: _moved(3, 303),
+    "moved-5": lambda: _moved(5, 305),
+    "moved-symmetric-4": lambda: _moved(4, 304, symmetric=True),
+    "near-facet-4": lambda: _near_facet(4, 404, 1e-9),
+    "cube-3": lambda: cube(3),
+    "regular-simplex-4": lambda: regular_simplex(4),
+}
+
+
+def _line(name):
+    E, info = max_inscribed_ellipsoid(CASES[name](), full_output=True)
+    B = ",".join(float(x).hex() for x in E.shape.ravel())
+    d = ",".join(float(x).hex() for x in E.center)
+    return (f"{name} {info.newton_iterations} {info.value_evaluations} "
+            f"{info.stages} {B} {d}")
+
+
+def _expected():
+    lines = EXPECTED.read_text(encoding="utf-8").splitlines()
+    return {line.split(" ", 1)[0]: line for line in lines}
+
+
+def test_every_case_is_stored():
+    assert sorted(_expected()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_solve_matches_stored(name):
+    assert _line(name) == _expected()[name]
