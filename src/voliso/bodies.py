@@ -3,14 +3,15 @@
 Bodies live in R^n with n between 2 and 6 for the polytope types.  An
 HPolytope is an intersection of half-spaces with unit outward normals and
 strictly positive offsets (the origin is interior); a VPolytope is the convex
-hull of an irredundant vertex list; an Ellipsoid is the image of the unit
-ball under ``y -> B y + d`` with ``B`` symmetric positive definite.
+hull of an irredundant vertex list, kept with its facets; an Ellipsoid is
+the image of the unit ball under ``y -> B y + d``, ``B`` symmetric positive definite.
 
 All types are immutable values and all operations are pure functions.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ MAX_EXACT_DIM = 6
 
 _SYM_TOL = 1e-12
 _ORIGIN_DEPTH = 0.1   # least min/max offset ratio at which qhull starts from the origin
+_LIFT_SEED = 1983     # draws the heights that split vertices on more than n facets
 
 
 def _readonly(a):
@@ -130,12 +132,11 @@ class VPolytope:
     """Convex hull of a vertex list, canonicalized to extreme points.
 
     The hull must be full-dimensional.  Vertices are reduced to the extreme
-    points and sorted lexicographically, so equal bodies compare equal.  What
-    else the measures need is kept from that one hull: its volume and surface
-    area as qhull computes them (``_volume``, ``_area``) and its triangulated
-    boundary: ``_simplices`` indexes ``vertices`` and row i of ``_equations``
-    is [unit outward normal, offset] of simplex i, with normal.x + offset <= 0
-    inside.  The simplices of one facet share its row exactly.
+    points and sorted lexicographically, so equal bodies compare equal.  Row
+    i of ``_equations`` is [unit outward normal, -offset] of facet i, and
+    ``_incidence[v, i]`` tells whether vertex v lies on it; both come from
+    the one qhull hull of the vertices, whose simplices share their facet's
+    row exactly (``vrep_from_hrep`` takes them from the dual hull).
     """
 
     vertices: np.ndarray
@@ -158,13 +159,15 @@ class VPolytope:
         # renumber the simplices' input indices to positions in ``order``
         position = np.empty(len(V), dtype=np.intp)
         position[order] = np.arange(len(order))
-        simplices = position[hull.simplices]
-        simplices.flags.writeable = False
-        object.__setattr__(self, "vertices", _readonly(V[order]))
-        object.__setattr__(self, "_simplices", simplices)
-        object.__setattr__(self, "_equations", _readonly(hull.equations))
-        object.__setattr__(self, "_volume", float(hull.volume))
-        object.__setattr__(self, "_area", float(hull.area))
+        equations, facet = np.unique(hull.equations, axis=0, return_inverse=True)
+        incidence = np.zeros((len(order), len(equations)), dtype=bool)
+        incidence[position[hull.simplices], facet.reshape(-1, 1)] = True
+        self._keep(V[order], equations, incidence)
+
+    def _keep(self, vertices, equations, incidence):
+        object.__setattr__(self, "vertices", _readonly(vertices))
+        object.__setattr__(self, "_equations", _readonly(equations))
+        object.__setattr__(self, "_incidence", incidence)
 
     @property
     def dim(self) -> int:
@@ -175,22 +178,75 @@ class VPolytope:
         return self.vertices.shape[0]
 
     @functools.cached_property
-    def _joggled_boundary(self):
-        """Simplices of the hull of ``vertices`` built from joggled input
-        (qhull's 'QJ'), each with the row of ``_equations`` of its facet.
-
-        qhull's triangulation of a facet merged from many coplanar pieces can
-        overlap itself (seen on 5-D and 6-D bodies); a joggled hull merges
-        nothing.  Its simplices lie in facets of the body, or are slivers of
-        zero volume, and each takes the facet closest to its own normal.
-        """
-        hull = ConvexHull(self.vertices, qhull_options="QJ")
-        facets = np.unique(self._equations, axis=0)
-        nearest = np.argmax(hull.equations[:, :-1] @ facets[:, :-1].T, axis=1)
-        return hull.simplices, facets[nearest]
+    def _facet_areas(self):
+        """Facet areas |F_i|, on first use, about the vertex centroid (a far origin
+        costs digits); DegenerateBodyError on |sum |F_i| a_i| > 1e-12 sum |F_i|."""
+        normals, center = self._equations[:, :-1], self.vertices.mean(axis=0)
+        faces = _simple_vertices(self.vertices - center, normals, self._incidence)
+        areas = _lasserre(normals, -self._equations[:, -1] - normals @ center, faces)
+        residual = np.linalg.norm(areas @ normals) / areas.sum()
+        if not residual <= 1e-12:
+            raise DegenerateBodyError(f"facets miss closure: residual {residual:.3g}")
+        return _readonly(areas)
 
     def contains(self, points, tol: float = 1e-9):
         return hrep_from_vrep(self).contains(points, tol=tol)
+
+
+def _simple_vertices(vertices, normals, incidence):
+    """Sorted facet-index rows of n for the vertices (about an interior point)
+    of a simple body with the same measures: a vertex v on more than n facets
+    splits as generic offset changes delta would, into the lower facets of the
+    hull of a_i / <a_i, w> lifted along w = v / |v| by delta_i / <a_i, w>; new
+    faces measure 0, as measures are continuous and piecewise polynomial."""
+    n = vertices.shape[1]
+    count = incidence.sum(axis=1)
+    rows = [np.nonzero(incidence[count == n])[1].reshape(-1, n)]
+    heights = np.random.default_rng(_LIFT_SEED).random(len(normals))
+    for vertex, on in zip(vertices[count > n], incidence[count > n]):
+        facets = np.flatnonzero(on)
+        w = vertex / np.linalg.norm(vertex)
+        dots = normals[facets] @ w
+        hull = ConvexHull((normals[facets] + np.outer(heights[facets] - dots, w))
+                          / dots[:, None])
+        lower = hull.equations[:, :-1] @ w < -1e-9     # not near-vertical
+        rows.append(np.sort(facets[hull.simplices[lower]], axis=1))
+    return np.vstack(rows)
+
+
+def _least_norm(normals, offsets, faces):
+    """A^+ and A^+ b for the facet rows A of each face: A^-1 at a vertex,
+    else Q R^-T from A^T = QR, without the normal equations' squared condition."""
+    A = normals[faces]
+    if faces.shape[1] == normals.shape[1]:
+        pinv = np.linalg.inv(A)
+    else:
+        Q, R = np.linalg.qr(A.transpose(0, 2, 1))
+        pinv = Q @ np.linalg.inv(R).transpose(0, 2, 1)
+    return pinv, (pinv @ offsets[faces][..., None])[..., 0]
+
+
+def _lasserre(normals, offsets, faces):
+    """Facet areas of the simple {<a_i, x> <= b_i} whose vertices lie on the
+    facets in the rows of ``faces``, by Lasserre's recursion: face T on k
+    facets measures 1/(n - k) sum_j <p_{T+j} - p_T, u> |T + j|, p least-norm
+    points and u the unit normal to T + j in T (column j of A_{T+j}^+).  A
+    level's faces are the rows below less one index, np.unique'd on keys."""
+    m, n = normals.shape
+    measure = np.ones(len(faces))
+    pinv, point = _least_norm(normals, offsets, faces)
+    for k in range(n, 1, -1):
+        keep = np.array([[c for c in range(k) if c != d] for d in range(k)])
+        links = faces[:, keep].reshape(-1, k - 1)
+        _, first, parent = np.unique(links @ m ** np.arange(k - 2, -1, -1),
+                                     return_index=True, return_inverse=True)
+        u = pinv.transpose(0, 2, 1).reshape(-1, n)
+        child = np.repeat(point, k, axis=0)
+        faces = links[first]
+        pinv, point = _least_norm(normals, offsets, faces)
+        h = ((child - point[parent]) * u).sum(axis=1) / np.linalg.norm(u, axis=1)
+        measure = np.bincount(parent, h * np.repeat(measure, k)) / (n - k + 1)
+    return np.bincount(faces[:, 0], measure, minlength=m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,11 +422,11 @@ def vrep_from_hrep(P: HPolytope) -> VPolytope:
     farthest facet plane (always true in John position, where the depths
     lie between 1 and n); otherwise the Chebyshev center is solved for.
     The tenth is a margin above the shallowest depth seen to fail from the
-    origin (1e-2, on two 6-D bodies), not a tuned value.  Whether qhull can
-    hull vertices that lie in many exactly coplanar groups turns on their
-    last bits, which depend on the interior point; so when the vertices
-    found from the origin fail, those found from the Chebyshev center are
-    tried, unless that center is the origin itself.
+    origin (1e-2, on two 6-D bodies), not a tuned value.  When the dual hull
+    fails from the origin it is retried from the Chebyshev center, unless
+    that center is the origin itself.  No primal hull is built: the
+    vertices are qhull's intersections, and the facets through each come
+    from the dual hull's ``dual_facets``.
     """
     if P.dim > MAX_EXACT_DIM:
         raise ValueError(f"vertex enumeration limited to dimension {MAX_EXACT_DIM}")
@@ -393,15 +449,22 @@ def _vertices_from(P: HPolytope, interior) -> VPolytope:
         hs = HalfspaceIntersection(halfspaces, interior)
     except QhullError as exc:
         raise DegenerateBodyError(f"vertex enumeration failed: {exc}") from exc
-    # qhull keeps one of any repeated intersection points as the vertex
-    return VPolytope(hs.intersections)
+    # intersection k lies on the half-spaces listed in dual_facets[k]
+    incidence = np.zeros((len(hs.intersections), P.num_facets), dtype=bool)
+    sizes = [len(f) for f in hs.dual_facets]
+    flat = np.fromiter(itertools.chain.from_iterable(hs.dual_facets), np.intp)
+    incidence[np.repeat(np.arange(len(incidence)), sizes), flat] = True
+    order, used = np.lexsort(hs.intersections.T[::-1]), incidence.any(axis=0)
+    body = object.__new__(VPolytope)
+    body._keep(hs.intersections[order], halfspaces[used], incidence[order][:, used])
+    return body
 
 
 def hrep_from_vrep(V: VPolytope) -> HPolytope:
     """Facet description of the hull of a vertex list (origin must be interior)."""
     if V.dim > MAX_EXACT_DIM:
         raise ValueError(f"facet enumeration limited to dimension {MAX_EXACT_DIM}")
-    # the simplices of one facet share its equation; keep one row per facet
+    # rows rounded to 9 decimals, which V-file ``john`` reports depend on
     eqs = np.unique(np.round(V._equations, 9), axis=0)
     return HPolytope(eqs[:, :-1], -eqs[:, -1], validate=False)
 

@@ -1,11 +1,11 @@
 """Exact and Monte Carlo measures: volume, surface area, shadows, Petty.
 
-Every exact quantity of a VPolytope, for n = 2..6, comes from the one hull
-the body keeps: its volume and surface area as qhull computes them, and the
-areas a_i = n v_i / h_i of its boundary simplices (v_i the cone volume over
-simplex i from an interior point c, h_i the height of c over it), which give
-every shadow by Cauchy's projection formula.  Monte Carlo quantities are
-seeded, batched, and reported with standard errors.
+Every exact quantity of a VPolytope, for n = 2..6, comes from the areas
+|F_i| of its facets, with unit normals a_i and offsets b_i, which the body
+computes once by Lasserre's recursion: |K| = (1/n) sum b_i |F_i|,
+|dK| = sum |F_i|, and the shadow along a unit theta is
+(1/2) sum |<a_i, theta>| |F_i| by Cauchy's projection formula.  Monte Carlo
+quantities are seeded, batched, and reported with standard errors.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .bodies import BodyOracle, VPolytope, unit_ball_volume
-from .sampling import (RunningMean, batches, matmul_rows, rng_from_seed,
+from .sampling import (RunningMean, batches, rng_from_seed, row_blocks,
                        sphere_points)
 
 
@@ -52,43 +52,21 @@ class Estimate:
         return abs(self.value - other) <= sigmas * self.std_error
 
 
-def _simplex_areas(verts, simplices, equations):
-    """(n-1)-areas n v / h of boundary simplices, from their cone volumes v
-    and heights h over the vertex centroid, and their outward unit normals."""
-    n = verts.shape[1]
-    center = verts.mean(axis=0)
-    normals, offsets = equations[:, :-1], equations[:, -1]
-    cones = np.abs(np.linalg.det(verts[simplices] - center)) / math.factorial(n)
-    return n * cones / -(normals @ center + offsets), normals
-
-
-def _boundary(V: VPolytope):
-    """Areas and outward unit normals of a triangulation of V's boundary.
-
-    It is the one V keeps, unless its areas do not add up to qhull's own
-    surface area: then qhull's triangulation overlaps itself, and a hull of
-    joggled vertices gives the simplices instead.
-    """
-    areas, normals = _simplex_areas(V.vertices, V._simplices, V._equations)
-    if abs(areas.sum() - V._area) > 1e-9 * V._area:
-        areas, normals = _simplex_areas(V.vertices, *V._joggled_boundary)
-    return areas, normals
-
-
 def polytope_volume(V: VPolytope) -> float:
-    """Exact volume, as qhull computes it for V's hull."""
-    return V._volume
+    """Exact volume (1/n) sum_i (b_i - <a_i, c>) |F_i|, c the vertex centroid."""
+    offsets = -V._equations[:, -1] - V._equations[:, :-1] @ V.vertices.mean(axis=0)
+    return float(offsets @ V._facet_areas) / V.dim
 
 
 def surface_area(V: VPolytope) -> float:
-    """Exact boundary measure, as qhull computes it for V's hull."""
-    return V._area
+    """Exact boundary measure sum_i |F_i|."""
+    return float(V._facet_areas.sum())
 
 
 def isoperimetric_quotient(V: VPolytope) -> float:
     """surface_area / volume^((n-1)/n)."""
     n = V.dim
-    return V._area / V._volume ** ((n - 1.0) / n)
+    return surface_area(V) / polytope_volume(V) ** ((n - 1.0) / n)
 
 
 def mc_volume(body: BodyOracle, mc: McParams) -> Estimate:
@@ -111,19 +89,18 @@ def projection_area(V: VPolytope, theta, mc: McParams | None = None) -> float:
     Exact for n = 2..6 and always a float (for n = 2 it is the width of V
     along the line orthogonal to theta).  ``mc`` is accepted and ignored.
     """
-    theta = np.asarray(theta, dtype=float)
-    return float(_shadow_values(V, theta[None] / np.linalg.norm(theta))[0])
+    theta = np.asarray(theta, dtype=float)[None]
+    return float(_shadows(V, theta / np.linalg.norm(theta))[0])
 
 
-def _shadows(areas: np.ndarray, normals: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Cauchy's projection formula: the shadow along a unit theta is half
-    the facet areas weighted by |<facet normal, theta>|."""
-    return 0.5 * matmul_rows(np.abs(matmul_rows(thetas, normals.T)), areas)
-
-
-def _shadow_values(V: VPolytope, thetas: np.ndarray) -> np.ndarray:
-    """Exact shadow areas of V along many unit directions at once."""
-    return _shadows(*_boundary(V), thetas)
+def _shadows(V: VPolytope, thetas: np.ndarray) -> np.ndarray:
+    """Cauchy's projection formula: the shadow along a unit theta is half the
+    facet areas weighted by |<facet normal, theta>|, one row block at a time."""
+    areas, normals = V._facet_areas, V._equations[:, :-1]
+    out = np.empty(len(thetas))
+    for lo, hi in row_blocks(len(thetas)):
+        out[lo:hi] = np.abs(thetas[lo:hi] @ normals.T) @ areas
+    return 0.5 * out
 
 
 def cauchy_surface_area(V: VPolytope, mc: McParams) -> Estimate:
@@ -133,11 +110,10 @@ def cauchy_surface_area(V: VPolytope, mc: McParams) -> Estimate:
     """
     n = V.dim
     factor = n * unit_ball_volume(n) / unit_ball_volume(n - 1)
-    areas, normals = _boundary(V)
     rng = rng_from_seed(mc.seed)
     acc = RunningMean()
     for thetas in batches(rng, partial(sphere_points, dim=n), mc.sample_count):
-        acc.add(_shadows(areas, normals, thetas))
+        acc.add(_shadows(V, thetas))
     return Estimate(factor * acc.mean, factor * acc.std_error, mc.sample_count)
 
 
@@ -149,12 +125,11 @@ def petty_functional(V: VPolytope, mc: McParams) -> Estimate:
     delta method applied to the inner spherical mean.
     """
     n = V.dim
-    vol = V._volume
-    areas, normals = _boundary(V)
+    vol = polytope_volume(V)
     rng = rng_from_seed(mc.seed)
     acc = RunningMean()
     for thetas in batches(rng, partial(sphere_points, dim=n), mc.sample_count):
-        acc.add(_shadows(areas, normals, thetas) ** (-float(n)))
+        acc.add(_shadows(V, thetas) ** (-float(n)))
     inner = acc.mean
     value = (vol ** (n - 1) * inner) ** (-1.0 / n)
     se = value * acc.std_error / (n * inner)

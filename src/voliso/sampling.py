@@ -59,18 +59,20 @@ def batches(rng: np.random.Generator, draw, total: int):
 ROW_BLOCK = 8192
 
 
-def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a 2-D ``a``, computed ROW_BLOCK rows at a time.
-
-    A last block of one row joins the block before it: BLAS takes a single
-    row as a vector product, which may sum in another order.
-    """
-    rows = a.shape[0]
-    out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
+def row_blocks(rows: int):
+    """(lo, hi) bounds of ROW_BLOCK rows each, covering range(rows).  A last
+    block of one row joins the block before it: BLAS takes a single row as a
+    vector product, which may sum in another order."""
     bounds = list(range(0, rows, ROW_BLOCK)) + [rows]
     if rows > 1 and rows % ROW_BLOCK == 1:
         del bounds[-2]
-    for lo, hi in zip(bounds, bounds[1:]):
+    return zip(bounds, bounds[1:])
+
+
+def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D ``a``, computed one row block at a time."""
+    out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
+    for lo, hi in row_blocks(a.shape[0]):
         np.matmul(a[lo:hi], b, out=out[lo:hi])
     return out
 
