@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -287,7 +288,12 @@ def _add_common(sub, samples_default=200_000):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``parse_args`` leaves it as it
+    was.  It holds no subcommand function: ``main`` looks ``cmd_<command>``
+    up by name at each call, so a function rebound on this module is the
+    one that runs."""
     parser = argparse.ArgumentParser(
         prog="voliso",
         description="John ellipsoids, volume ratios, and reverse "
@@ -300,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     john.add_argument("--symmetric", action="store_true",
                       help="treat the body as origin-symmetric")
     _add_common(john)
-    john.set_defaults(func=cmd_john)
 
     reviso = subs.add_parser("reviso", help="isoperimetric quotients of "
                                             "random John-positioned bodies")
@@ -310,12 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     reviso.add_argument("--include-simplex", action="store_true",
                         help="inject the extremal regular simplex as body 0")
     _add_common(reviso)
-    reviso.set_defaults(func=cmd_reviso)
 
     lp = subs.add_parser("lp", help="volume ratio of a subspace of l_p^m")
     lp.add_argument("--input", required=True, help="subspace file")
     _add_common(lp)
-    lp.set_defaults(func=cmd_lp)
 
     bl = subs.add_parser("bl", help="Brascamp-Lieb ratio of a system file")
     bl.add_argument("--input", required=True, help="system file")
@@ -323,21 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON list (inline or path) of density descriptors; "
                          "default: standard Gaussians")
     _add_common(bl)
-    bl.set_defaults(func=cmd_bl)
 
     petty = subs.add_parser("petty", help="shadow functional and Cauchy "
                                           "surface area of a polytope")
     petty.add_argument("--input", required=True, help="polytope file")
     _add_common(petty)
-    petty.set_defaults(func=cmd_petty)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (VolisoError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -8,13 +8,24 @@ one per facet.  It follows the central path of the log-barrier
 
 (Boyd & Vandenberghe, Convex Optimization, 11.3-11.5).  The solve starts
 from the ball of radius 0.9 min(b) about the origin, which every HPolytope
-holds, so it needs no LP.  Each barrier stage re-centres with damped Newton
-steps until the Newton decrement is below tolerance, then multiplies t by a
-fixed factor.  Between stages a predictor steps along the tangent of the
-central path (Nesterov & Nemirovskii, Interior-Point Polynomial Algorithms
-in Convex Programming, 1994), taken linear in 1/t:
-d theta = -(1 - 1/mu) t H^-1 grad f0 with f0 = -log det B and H the
-stage's last Hessian, halved until it lowers Phi at the new t.
+holds, so it needs no LP.  It starts at the weight t0 >= 1 that makes this
+point most central: t0 minimises |t grad f0 + grad phi| in the norm of
+H_phi^-1, with f0 = -log det B and phi the log-barrier, from one gradient,
+Hessian and solve at t = 0 (11.3.1).  Each barrier stage re-centres with
+damped Newton steps until lambda^2 / 2 is at most 1e-6 while the duality
+gap 2m/t is above its tolerance and at most 1e-13 after, then multiplies t
+by a fixed factor.  Between stages a predictor steps along the tangent of
+the central path (Nesterov & Nemirovskii, Interior-Point Polynomial
+Algorithms in Convex Programming, 1994), taken linear in 1/t:
+d theta = -(1 - 1/mu) t H^-1 grad f0 with H the stage's last Hessian,
+halved until it lowers Phi at the new t.  B and H are factored by Cholesky,
+which also tests that B is positive definite.
+
+When the facet rows are exactly mirrored, (a, b) with (-a, b), the
+ellipsoid is centred at 0 and Phi_t(B, 0) = 2 Phi_{t/2}(B) of one facet
+from each pair.  The solve then runs over that half at the weight t/2, with
+a d block of width 0: the same central path, at half the rows and without
+the n centre variables.
 
 The stop is certified: once the duality gap 2m/t is below tolerance, the
 KKT residual of the iterate must be small too.  Stages go on while it is
@@ -37,6 +48,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import nnls
 
 from .bodies import Ellipsoid, HPolytope, apply_affine, vrep_from_hrep
@@ -44,7 +56,8 @@ from .brascamp_lieb import BLSystem
 from .errors import InfeasibleDecompositionError, NotJohnPositionError, SolverError
 
 _GAP_TOL = 1e-10
-_DECREMENT_TOL = 1e-13     # on lambda^2 / 2, the Newton suboptimality estimate
+_DECREMENT_TOL = 1e-13     # on lambda^2 / 2, the Newton suboptimality estimate,
+_INNER_TOL = 1e-6          # ... relaxed to this while the gap 2m/t > _GAP_TOL
 _MAX_NEWTON = 200
 _T_FACTOR = 20.0
 _PREDICTOR_MIN = 1e-3      # smallest fraction of the tangent step tried
@@ -75,6 +88,7 @@ class _SymIndex:
         self.rows = np.array([j for j, _ in pairs])
         self.cols = np.array([k for _, k in pairs])
         self.diag = self.rows == self.cols
+        self.eye = np.eye(n)
         # duplication matrix: vec_F(B) = D @ packed(B) = packed(B)[full]
         D = np.zeros((n * n, self.q))
         full = np.empty(n * n, dtype=np.intp)
@@ -125,7 +139,7 @@ _sym_index = functools.cache(_SymIndex)     # one per dimension
 # solver
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SolveInfo:
     """Diagnostics of one inscribed-ellipsoid solve.
 
@@ -133,8 +147,13 @@ class SolveInfo:
     ``value_evaluations`` the evaluations of the barrier value, line-search
     and predictor trials included.  ``kkt_residual`` is that of the body
     scaled to largest offset in [0.5, 1), as the stop judged it, so it does
-    not depend on the body's units.  A returned solve has converged, so
-    ``converged`` is always True; a failed one raises SolverError.
+    not depend on the body's units.  ``newton_iterations`` does not count
+    the one solve at t = 0 that sets the start weight.  ``mirrored`` tells
+    whether the facet rows were exactly mirrored, so that the solve ran
+    over one facet of each pair with the centre fixed at 0; its duality
+    gap, Newton decrement and KKT residual are still the whole body's.  A
+    returned solve has converged, so ``converged`` is always True; a failed
+    one raises SolverError.  The fields are read-only.
     """
 
     newton_iterations: int
@@ -145,42 +164,46 @@ class SolveInfo:
     converged: bool = True
     stages: int = 0
     value_evaluations: int = 0
+    mirrored: bool = False
 
 
 def _barrier_value(sym, A, b, theta, t):
     """Value of Phi_t together with log det B; None when theta is infeasible."""
     B = sym.to_matrix(theta[: sym.q])
-    d = theta[sym.q:]
-    sign, logdet = np.linalg.slogdet(B)
-    if sign <= 0:
+    d = theta[sym.q:]                            # empty for a mirrored half
+    L, info = lapack.dpotrf(B, lower=1)         # B = L L^T
+    if info:                                     # B is not positive definite
         return None
-    s = b - A @ d
+    logdet = 2.0 * float(np.log(L.diagonal()).sum())
+    s = b - A[:, :d.size] @ d
     V = A @ B
     vnorm = np.sqrt(np.add.reduce(V * V, 1))     # np.linalg.norm's body, bit for bit
     slack = s - vnorm
     if not slack.min() > 0:                      # slack <= s, so s > 0 too
         return None
     g = slack * (s + vnorm)
-    return -t * logdet - float(np.log(g).sum()), logdet, B, d, s, V, g
+    return -t * logdet - float(np.log(g).sum()), logdet, L, d, s, V, g
 
 
 def _barrier_state(sym, A, b, point, t):
     """Rows [grad Phi_t, grad f0] with f0 = -log det B, and the Hessian of
-    Phi_t, at a feasible point as _barrier_value returns it."""
+    Phi_t, at a feasible point as _barrier_value returns it.  The d block
+    is as wide as d: n, or 0 for a mirrored half with d fixed at 0."""
     q = sym.q
-    _, _, B, d, s, V, g = point
+    _, _, L, d, s, V, g = point
+    k = d.size
 
-    Binv = np.linalg.inv(B)
+    Binv = lapack.dpotrs(L, sym.eye, lower=1)[0]
     inv_g = 1.0 / g
     # packed sym(v a^T) per constraint, and the gradient
     P1 = sym.pair_products(V, A)
     m, n = A.shape
-    size = q + n
+    size = q + k
     rhs = np.zeros((2, size))
     grad, grad0 = rhs
     grad0[:q] = -sym.from_matrix_grad(Binv)
     grad[:q] = t * grad0[:q] + 2.0 * inv_g @ P1
-    grad[q:] = A.T @ (2.0 * s * inv_g)
+    grad[q:] = A[:, :k].T @ (2.0 * s * inv_g)
 
     # Hessian: t (Binv kron Binv) on the B-block, plus per constraint
     # (1/g^2) w w^T - (1/g) Hess(g); Hess(g) has B-block -2 Jv^T Jv
@@ -190,12 +213,12 @@ def _barrier_state(sym, A, b, point, t):
     H[:q, :q] = t * (sym.dup.T @ kron @ sym.dup)
     W = np.empty((m, size))                              # grad of g, row per i
     np.multiply(P1, -2.0, out=W[:, :q])
-    np.multiply(-2.0 * s[:, None], A, out=W[:, q:])
+    np.multiply(-2.0 * s[:, None], A[:, :k], out=W[:, q:])
     Wg = W * inv_g[:, None]
     H += Wg.T @ Wg
     S2 = (A * (2.0 * inv_g)[:, None]).T @ A             # sum (2/g) a a^T
     H[:q, :q] += (sym.curvature @ S2.reshape(-1)).reshape(q, q)
-    H[q:, q:] -= S2
+    H[q:, q:] -= S2[:k, :k]
     return rhs, H
 
 
@@ -204,10 +227,13 @@ def _kkt_certificate(A, b, B, d, eps_contact):
 
     Stationarity of log det at the optimum reads B^{-1} = sum lam_i
     sym(v_i a_i^T)/|v_i| together with sum lam_i a_i = 0; multipliers are
-    fitted by nonnegative least squares on the near-active facets.
+    fitted by nonnegative least squares on the near-active facets.  An
+    empty d (a mirrored half, centred at 0) drops the second condition,
+    which mirrored multipliers meet.
     """
     sym = _sym_index(A.shape[1])
-    s = b - A @ d
+    Ad = A[:, :d.size]        # no d rows for a mirrored half with d fixed at 0
+    s = b - Ad @ d
     V = A @ B
     vnorm = np.linalg.norm(V, axis=1)
     slack = s - vnorm
@@ -215,15 +241,14 @@ def _kkt_certificate(A, b, B, d, eps_contact):
     violation = max(0.0, float(-slack.min()))
     if not np.any(active):
         return math.inf, violation
-    Aact = A[active]
     Vact = V[active] / vnorm[active][:, None]
     # Frobenius-consistent packed rows: off-diagonal entries weighted sqrt(2)
     weights = np.where(sym.diag, 1.0, math.sqrt(2.0))
-    M = sym.sym_entries(Vact, Aact) * weights
+    M = sym.sym_entries(Vact, A[active]) * weights
     Binv = np.linalg.inv(B)
     target = Binv[sym.rows, sym.cols] * weights
-    system = np.hstack([M, Aact]).T               # (q + n, k) columns per facet
-    rhs = np.concatenate([target, np.zeros(A.shape[1])])
+    system = np.hstack([M, Ad[active]]).T         # a column per active facet
+    rhs = np.concatenate([target, np.zeros(d.size)])
     lam, _ = nnls(system, rhs)
     resid = float(np.linalg.norm(system @ lam - rhs))
     comp = float(np.abs(lam * slack[active]).sum())
@@ -234,23 +259,40 @@ def _newton_step(H, rhs):
     """Newton step -H^-1 grad, lambda^2 = grad . H^-1 grad, and H^-1 grad0,
     for the rows [grad, grad0] of ``rhs``.
 
-    A singular H, or a lambda^2 that is not positive (H numerically
-    indefinite), gets one retry with H + 1e-12 tr(H) I; if that fails too
-    the solve cannot go on and SolverError is raised.
+    A zero gradient is a centred point: its step and lambda^2 are 0.  An H
+    that Cholesky finds not positive definite (singular or numerically
+    indefinite), or a lambda^2 that is not positive, gets one retry with
+    H + 1e-12 tr(H) I; if that fails too the solve cannot go on and
+    SolverError is raised.
     """
     grad = rhs[0]
     matrix = H
     for _ in range(2):
-        try:
-            sol = np.linalg.solve(matrix, rhs.T)
-            dec2 = float(grad @ sol[:, 0])
-        except np.linalg.LinAlgError:
-            dec2 = math.nan
-        if dec2 > 0.0:            # False for NaN as well
+        _, sol, info = lapack.dposv(matrix, rhs.T)     # Cholesky
+        dec2 = math.nan if info else float(grad @ sol[:, 0])
+        if dec2 > 0.0 or (dec2 == 0.0 and not grad.any()):   # False for NaN
             return -sol[:, 0], dec2, sol[:, 1]
         matrix = H + 1e-12 * np.trace(H) * np.eye(H.shape[0])
     raise SolverError(f"Newton system is singular or indefinite "
                       f"(squared decrement {dec2:.3e})")
+
+
+def _mirror_half(A, b):
+    """Rows (a, b) of one facet from each mirrored pair (a, b), (-a, b), or
+    None unless the sorted rows (a, b) equal the sorted rows (-a, b)."""
+    m = A.shape[0]
+    lead = A[np.arange(m), np.argmax(A != 0, axis=1)]   # first nonzero entry
+    half = lead > 0
+    if 2 * np.count_nonzero(half) != m:
+        return None
+    rows = np.column_stack([A, b])
+    mirrored = rows[~half]
+    mirrored[:, :-1] *= -1.0
+    upper = rows[half]
+    if not np.array_equal(upper[np.lexsort(upper.T[::-1])],
+                          mirrored[np.lexsort(mirrored.T[::-1])]):
+        return None
+    return A[half], b[half]
 
 
 def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
@@ -263,9 +305,13 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     (non-decreasing).
 
     The solve needs no LP: the origin is interior at depth min(b), so it
-    starts from (B, d) = (0.9 min(b) I, 0).  Between barrier stages it
-    steps along the central-path tangent (see the module docstring) and
-    then re-centres with damped Newton steps.
+    starts from (B, d) = (0.9 min(b) I, 0), at the barrier weight t0 >= 1
+    that makes that point most central.  Between barrier stages it steps
+    along the central-path tangent (see the module docstring) and then
+    re-centres with damped Newton steps, loosely while the duality gap is
+    above its tolerance and tightly after.  A body whose facet rows are
+    exactly mirrored, (a, b) with (-a, b), is solved over one facet of each
+    pair with d fixed at 0, on the same central path.
 
     Raises SolverError, and returns no ellipsoid, when the duality gap
     does not close within the Newton iteration cap, when a Newton system
@@ -275,31 +321,47 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     depend on its units.
     """
     A = P.normals
-    m, n = A.shape
+    n = A.shape[1]
     sym = _sym_index(n)
     q = sym.q
     # exact scaling by a power of two to max(b) in [0.5, 1)
     scale = 2.0 ** math.frexp(float(P.offsets.max()))[1]
     b = P.offsets / scale
-
-    theta = np.zeros(q + n)
-    theta[:q][sym.diag] = 0.9 * float(b.min())
-    t = 1.0
-    point = _barrier_value(sym, A, b, theta, t)
     eps_contact = 1e-6 * float(b.max())
+    # a mirrored body has d = 0 and Phi_t(B, 0) = 2 Phi_{t/2}(B) of its half
+    # (A, b): solve the half with no d block, where t below is the half's
+    # weight, the whole body's t/2
+    half = _mirror_half(A, b)
+    copies = 1 if half is None else 2
+    if half is not None:
+        A, b = half
+    m = A.shape[0]          # so 2m/t is the whole body's duality gap
+
+    theta = np.zeros(q + (n if half is None else 0))
+    theta[:q][sym.diag] = 0.9 * float(b.min())
+    # start weight: t minimising |t grad f0 + grad phi| in the norm of the
+    # barrier's inverse Hessian H^-1 at the start point (Boyd & Vandenberghe
+    # 11.3.1), and never below the whole body's t = 1
+    point = _barrier_value(sym, A, b, theta, 0.0)
+    rhs, H = _barrier_state(sym, A, b, point, 0.0)
+    step, _, tangent = _newton_step(H, rhs)
+    t = max(1.0 / copies, float(rhs[1] @ step) / float(rhs[1] @ tangent))
+    point = (point[0] - t * point[1],) + point[1:]
     iterations = stages = 0
     evaluations = 1
     decrement = math.inf
     det_trace = []
     while True:
         stages += 1
+        gap = 2.0 * m / t
+        tolerance = _INNER_TOL if gap > _GAP_TOL else _DECREMENT_TOL
         while True:
             value = point[0]
             rhs, H = _barrier_state(sym, A, b, point, t)
             step, dec2, tangent = _newton_step(H, rhs)
-            decrement = math.sqrt(dec2)
+            decrement = math.sqrt(copies * dec2)       # the whole body's
             iterations += 1
-            if dec2 / 2.0 <= _DECREMENT_TOL or iterations > _MAX_NEWTON:
+            if copies * dec2 / 2.0 <= tolerance or iterations > _MAX_NEWTON:
                 break
             slope = -dec2
             alpha = 1.0
@@ -317,7 +379,6 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
             if not accepted or progress <= 1e-13 * (1.0 + abs(value)):
                 break   # numerical noise floor for this stage
         det_trace.append(math.exp(point[1]) * scale ** n)
-        gap = 2.0 * m / t
         if gap <= _GAP_TOL or iterations >= _MAX_NEWTON:
             B, d = sym.to_matrix(theta[:q]), theta[q:]
             kkt, violation = _kkt_certificate(A, b, B, d, eps_contact)
@@ -348,12 +409,13 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
             f"no certified optimum after {iterations} Newton iterations: "
             f"duality gap {gap:.3e}, KKT residual {kkt:.3e}, "
             f"violation {violation:.3e}")
-    ellipsoid = Ellipsoid(scale * B, scale * d)
+    ellipsoid = Ellipsoid(scale * B, scale * d if half is None else np.zeros(n))
     if full_output:
         info = SolveInfo(newton_iterations=iterations, duality_gap=gap,
                          newton_decrement=decrement, kkt_residual=kkt,
                          det_trace=det_trace, stages=stages,
-                         value_evaluations=evaluations)
+                         value_evaluations=evaluations,
+                         mirrored=half is not None)
         return ellipsoid, info
     return ellipsoid
 

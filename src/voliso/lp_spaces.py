@@ -268,7 +268,10 @@ def lewis_position(spec: SubspaceSpec) -> LewisPosition:
     each sweep computes row weights |r_i|^p of R = basis @ L and applies the
     damped whitening L <- L T^{-s/2} (s = ``_LEWIS_STEP``) with
     T = sum |r_i|^{p-2} r_i r_i^T, until |T - I|_F <= ``_LEWIS_TOL``.  Zero
-    rows carry zero weight and are dropped from the returned gauge.
+    rows carry zero weight and are dropped from the returned gauge.  Raises
+    SolverError, naming p, as soon as a diverging iteration's weights or T
+    stop being finite, and when it does not converge within
+    ``_LEWIS_MAX_ITER`` sweeps.
     """
     M = spec.basis
     p = spec.p
@@ -276,25 +279,31 @@ def lewis_position(spec: SubspaceSpec) -> LewisPosition:
     Q, Rt = np.linalg.qr(M)
     L = np.linalg.inv(Rt)
     residual = math.inf
-    for iteration in range(_LEWIS_MAX_ITER):
-        R = M @ L
-        norms = np.linalg.norm(R, axis=1)
-        mask = norms > 1e-300
-        U = np.zeros_like(R)
-        U[mask] = R[mask] / norms[mask, None]
-        w = np.where(mask, norms ** p, 0.0)
-        T = (U * w[:, None]).T @ U
-        residual = float(np.linalg.norm(T - np.eye(n)))
-        if residual <= _LEWIS_TOL:
-            break
-        evals, evecs = np.linalg.eigh(T)
-        if evals[0] <= 0:
-            raise SolverError("whitening matrix lost positive definiteness")
-        L = L @ (evecs * evals ** (-0.5 * _LEWIS_STEP)) @ evecs.T
-    else:
-        raise SolverError(f"Lewis iteration did not reach {_LEWIS_TOL:.1e} "
-                          f"within {_LEWIS_MAX_ITER} sweeps "
-                          f"(residual {residual:.3e})")
+    # a diverging iteration overflows; it is caught by the residual below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(_LEWIS_MAX_ITER):
+            R = M @ L
+            norms = np.linalg.norm(R, axis=1)
+            mask = norms > 1e-300
+            U = np.zeros_like(R)
+            U[mask] = R[mask] / norms[mask, None]
+            w = np.where(mask, norms ** p, 0.0)
+            T = (U * w[:, None]).T @ U
+            residual = float(np.linalg.norm(T - np.eye(n)))
+            if not math.isfinite(residual):
+                raise SolverError(
+                    f"Lewis iteration diverged at p = {p:g}: the weights or "
+                    f"T stopped being finite after {iteration} sweeps")
+            if residual <= _LEWIS_TOL:
+                break
+            evals, evecs = np.linalg.eigh(T)
+            if evals[0] <= 0:
+                raise SolverError("whitening matrix lost positive definiteness")
+            L = L @ (evecs * evals ** (-0.5 * _LEWIS_STEP)) @ evecs.T
+        else:
+            raise SolverError(f"Lewis iteration did not reach {_LEWIS_TOL:.1e} "
+                              f"within {_LEWIS_MAX_ITER} sweeps "
+                              f"(residual {residual:.3e})")
     R = M @ L
     norms = np.linalg.norm(R, axis=1)
     keep = norms > 1e-14

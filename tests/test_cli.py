@@ -224,3 +224,31 @@ class TestPettyCommand:
         report = json.loads(out)
         assert report["config"]["seed"] == 11
         assert report["config"]["samples"] == 20000
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self, capsys, cube_file):
+        import voliso.cli as cli
+
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            code, _, _ = run(capsys, ["john", "--input", cube_file])
+            assert code == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_failed_call_leaves_no_trace(self, capsys, cube_file):
+        import voliso.cli as cli
+
+        argv = ["john", "--input", cube_file, "--symmetric"]
+        cli.build_parser.cache_clear()
+        alone = run(capsys, argv)
+        # an error inside the command, then one of the parser itself
+        assert run(capsys, ["john", "--input", "/does/not/exist.json",
+                            "--symmetric"])[0] == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reviso", "--n", "7", "--count", "1"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, argv) == alone
+        assert alone[0] == 0

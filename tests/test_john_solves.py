@@ -5,11 +5,19 @@ solve's ``newton_iterations``, ``value_evaluations`` and ``stages``, then
 every entry of the ellipsoid's shape B and centre d as ``float.hex``.  The
 bodies cover n = 2..6, general and symmetric, bodies under a random affine
 map, a body moved to 1e-9 from a facet, ``cube(3)`` and
-``regular_simplex(4)``.  The file was written by printing ``_line(name)``
-for every case at the commit before the Newton step's numpy calls were
-trimmed, so it pins that the trimmed step does the same arithmetic.  A
-change that moves these bits changes the solver's results: it must be
-argued for on its own, not hidden by rewriting the file.
+``regular_simplex(4)``.  The file is printed by ``_line(name)`` for every
+case.  It was first written before the Newton step's numpy calls were
+trimmed, and pinned that the trimmed step did the same arithmetic.  It was
+rewritten by the commit that starts the barrier path at its most central
+weight, re-centres loosely until the duality gap reaches its tolerance,
+solves mirrored bodies over half their facets and factors B and the
+Newton system by Cholesky: those change the iterates, so every line
+moved.  That commit argued for the new bits by an accuracy survey (1,600
+solves against solves run down to a duality gap of 1e-13); here every
+entry of B and d moved by at most 8.8e-10 (``symmetric-3``) and every
+Newton count fell.  A change that moves these bits changes the solver's
+results: it must be argued for on its own, not hidden by rewriting the
+file.
 """
 from pathlib import Path
 

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from voliso import (BLSystem, BodyOracle, GaugeError, HPolytope, L1_VR_LIMIT, McParams,
-                    SubspaceSpec, WeightedLpGauge, gauge_integral_volume,
+                    SolverError, SubspaceSpec, WeightedLpGauge, gauge_integral_volume,
                     hrep_from_vrep, inscribed_radius_check, l1_vr_bound,
                     lewis_position, lp_ball_volume, lp_ball_volume_ratio,
                     max_inscribed_ellipsoid, polytope_volume, product_volume_bound,
@@ -194,6 +195,26 @@ class TestLewisPosition:
         subspace_norm = spec.norm(x @ lewis.change_of_basis.T)
         represented = lewis.gauge(x)
         assert np.max(np.abs(subspace_norm - represented)) <= 1e-8
+
+    def test_divergence_is_a_solver_error(self):
+        # at p = 10 the damped step diverges on most subspaces: the weights
+        # overflow, which once surfaced as numpy warnings and a raw
+        # LinAlgError from eigh; now it is a SolverError, and nothing warns
+        rng = np.random.default_rng(10)
+        diverged = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(30):
+                n = int(rng.integers(2, 7))
+                m = int(rng.integers(n, 4 * n + 1))
+                spec = SubspaceSpec(rng.standard_normal((m, n)), 10.0)
+                try:
+                    lewis = lewis_position(spec)
+                except SolverError as exc:
+                    diverged += "diverged at p = 10" in str(exc)
+                    continue
+                assert lewis.residual <= 1e-10
+        assert diverged >= 20
 
 
 class TestInscribedRadius:
