@@ -21,12 +21,6 @@ d theta = -(1 - 1/mu) t H^-1 grad f0 with H the stage's last Hessian,
 halved until it lowers Phi at the new t.  B and H are factored by Cholesky,
 which also tests that B is positive definite.
 
-When the facet rows are exactly mirrored, (a, b) with (-a, b), the
-ellipsoid is centred at 0 and Phi_t(B, 0) = 2 Phi_{t/2}(B) of one facet
-from each pair.  The solve then runs over that half at the weight t/2, with
-a d block of width 0: the same central path, at half the rows and without
-the n centre variables.
-
 The stop is certified: once the duality gap 2m/t is below tolerance, the
 KKT residual of the iterate must be small too.  Stages go on while it is
 above 1e-8 (down to a gap of 1e-13), and a result whose residual is above
@@ -139,7 +133,7 @@ _sym_index = functools.cache(_SymIndex)     # one per dimension
 # solver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class SolveInfo:
     """Diagnostics of one inscribed-ellipsoid solve.
 
@@ -148,12 +142,9 @@ class SolveInfo:
     and predictor trials included.  ``kkt_residual`` is that of the body
     scaled to largest offset in [0.5, 1), as the stop judged it, so it does
     not depend on the body's units.  ``newton_iterations`` does not count
-    the one solve at t = 0 that sets the start weight.  ``mirrored`` tells
-    whether the facet rows were exactly mirrored, so that the solve ran
-    over one facet of each pair with the centre fixed at 0; its duality
-    gap, Newton decrement and KKT residual are still the whole body's.  A
-    returned solve has converged, so ``converged`` is always True; a failed
-    one raises SolverError.  The fields are read-only.
+    the one solve at t = 0 that sets the start weight.  A returned solve
+    has converged, so ``converged`` is always True; a failed one raises
+    SolverError.
     """
 
     newton_iterations: int
@@ -164,18 +155,17 @@ class SolveInfo:
     converged: bool = True
     stages: int = 0
     value_evaluations: int = 0
-    mirrored: bool = False
 
 
 def _barrier_value(sym, A, b, theta, t):
     """Value of Phi_t together with log det B; None when theta is infeasible."""
     B = sym.to_matrix(theta[: sym.q])
-    d = theta[sym.q:]                            # empty for a mirrored half
+    d = theta[sym.q:]
     L, info = lapack.dpotrf(B, lower=1)         # B = L L^T
     if info:                                     # B is not positive definite
         return None
     logdet = 2.0 * float(np.log(L.diagonal()).sum())
-    s = b - A[:, :d.size] @ d
+    s = b - A @ d
     V = A @ B
     vnorm = np.sqrt(np.add.reduce(V * V, 1))     # np.linalg.norm's body, bit for bit
     slack = s - vnorm
@@ -187,23 +177,21 @@ def _barrier_value(sym, A, b, theta, t):
 
 def _barrier_state(sym, A, b, point, t):
     """Rows [grad Phi_t, grad f0] with f0 = -log det B, and the Hessian of
-    Phi_t, at a feasible point as _barrier_value returns it.  The d block
-    is as wide as d: n, or 0 for a mirrored half with d fixed at 0."""
+    Phi_t, at a feasible point as _barrier_value returns it."""
     q = sym.q
     _, _, L, d, s, V, g = point
-    k = d.size
 
     Binv = lapack.dpotrs(L, sym.eye, lower=1)[0]
     inv_g = 1.0 / g
     # packed sym(v a^T) per constraint, and the gradient
     P1 = sym.pair_products(V, A)
     m, n = A.shape
-    size = q + k
+    size = q + n
     rhs = np.zeros((2, size))
     grad, grad0 = rhs
     grad0[:q] = -sym.from_matrix_grad(Binv)
     grad[:q] = t * grad0[:q] + 2.0 * inv_g @ P1
-    grad[q:] = A[:, :k].T @ (2.0 * s * inv_g)
+    grad[q:] = A.T @ (2.0 * s * inv_g)
 
     # Hessian: t (Binv kron Binv) on the B-block, plus per constraint
     # (1/g^2) w w^T - (1/g) Hess(g); Hess(g) has B-block -2 Jv^T Jv
@@ -213,12 +201,12 @@ def _barrier_state(sym, A, b, point, t):
     H[:q, :q] = t * (sym.dup.T @ kron @ sym.dup)
     W = np.empty((m, size))                              # grad of g, row per i
     np.multiply(P1, -2.0, out=W[:, :q])
-    np.multiply(-2.0 * s[:, None], A[:, :k], out=W[:, q:])
+    np.multiply(-2.0 * s[:, None], A, out=W[:, q:])
     Wg = W * inv_g[:, None]
     H += Wg.T @ Wg
     S2 = (A * (2.0 * inv_g)[:, None]).T @ A             # sum (2/g) a a^T
     H[:q, :q] += (sym.curvature @ S2.reshape(-1)).reshape(q, q)
-    H[q:, q:] -= S2[:k, :k]
+    H[q:, q:] -= S2
     return rhs, H
 
 
@@ -227,13 +215,10 @@ def _kkt_certificate(A, b, B, d, eps_contact):
 
     Stationarity of log det at the optimum reads B^{-1} = sum lam_i
     sym(v_i a_i^T)/|v_i| together with sum lam_i a_i = 0; multipliers are
-    fitted by nonnegative least squares on the near-active facets.  An
-    empty d (a mirrored half, centred at 0) drops the second condition,
-    which mirrored multipliers meet.
+    fitted by nonnegative least squares on the near-active facets.
     """
     sym = _sym_index(A.shape[1])
-    Ad = A[:, :d.size]        # no d rows for a mirrored half with d fixed at 0
-    s = b - Ad @ d
+    s = b - A @ d
     V = A @ B
     vnorm = np.linalg.norm(V, axis=1)
     slack = s - vnorm
@@ -241,14 +226,15 @@ def _kkt_certificate(A, b, B, d, eps_contact):
     violation = max(0.0, float(-slack.min()))
     if not np.any(active):
         return math.inf, violation
+    Aact = A[active]
     Vact = V[active] / vnorm[active][:, None]
     # Frobenius-consistent packed rows: off-diagonal entries weighted sqrt(2)
     weights = np.where(sym.diag, 1.0, math.sqrt(2.0))
-    M = sym.sym_entries(Vact, A[active]) * weights
+    M = sym.sym_entries(Vact, Aact) * weights
     Binv = np.linalg.inv(B)
     target = Binv[sym.rows, sym.cols] * weights
-    system = np.hstack([M, Ad[active]]).T         # a column per active facet
-    rhs = np.concatenate([target, np.zeros(d.size)])
+    system = np.hstack([M, Aact]).T               # (q + n, k) columns per facet
+    rhs = np.concatenate([target, np.zeros(A.shape[1])])
     lam, _ = nnls(system, rhs)
     resid = float(np.linalg.norm(system @ lam - rhs))
     comp = float(np.abs(lam * slack[active]).sum())
@@ -277,24 +263,6 @@ def _newton_step(H, rhs):
                       f"(squared decrement {dec2:.3e})")
 
 
-def _mirror_half(A, b):
-    """Rows (a, b) of one facet from each mirrored pair (a, b), (-a, b), or
-    None unless the sorted rows (a, b) equal the sorted rows (-a, b)."""
-    m = A.shape[0]
-    lead = A[np.arange(m), np.argmax(A != 0, axis=1)]   # first nonzero entry
-    half = lead > 0
-    if 2 * np.count_nonzero(half) != m:
-        return None
-    rows = np.column_stack([A, b])
-    mirrored = rows[~half]
-    mirrored[:, :-1] *= -1.0
-    upper = rows[half]
-    if not np.array_equal(upper[np.lexsort(upper.T[::-1])],
-                          mirrored[np.lexsort(mirrored.T[::-1])]):
-        return None
-    return A[half], b[half]
-
-
 def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     """Ellipsoid of maximal volume inside a bounded H-polytope.
 
@@ -309,9 +277,7 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     that makes that point most central.  Between barrier stages it steps
     along the central-path tangent (see the module docstring) and then
     re-centres with damped Newton steps, loosely while the duality gap is
-    above its tolerance and tightly after.  A body whose facet rows are
-    exactly mirrored, (a, b) with (-a, b), is solved over one facet of each
-    pair with d fixed at 0, on the same central path.
+    above its tolerance and tightly after.
 
     Raises SolverError, and returns no ellipsoid, when the duality gap
     does not close within the Newton iteration cap, when a Newton system
@@ -321,31 +287,23 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     depend on its units.
     """
     A = P.normals
-    n = A.shape[1]
+    m, n = A.shape
     sym = _sym_index(n)
     q = sym.q
     # exact scaling by a power of two to max(b) in [0.5, 1)
     scale = 2.0 ** math.frexp(float(P.offsets.max()))[1]
     b = P.offsets / scale
     eps_contact = 1e-6 * float(b.max())
-    # a mirrored body has d = 0 and Phi_t(B, 0) = 2 Phi_{t/2}(B) of its half
-    # (A, b): solve the half with no d block, where t below is the half's
-    # weight, the whole body's t/2
-    half = _mirror_half(A, b)
-    copies = 1 if half is None else 2
-    if half is not None:
-        A, b = half
-    m = A.shape[0]          # so 2m/t is the whole body's duality gap
 
-    theta = np.zeros(q + (n if half is None else 0))
+    theta = np.zeros(q + n)
     theta[:q][sym.diag] = 0.9 * float(b.min())
     # start weight: t minimising |t grad f0 + grad phi| in the norm of the
     # barrier's inverse Hessian H^-1 at the start point (Boyd & Vandenberghe
-    # 11.3.1), and never below the whole body's t = 1
+    # 11.3.1), and never below t = 1
     point = _barrier_value(sym, A, b, theta, 0.0)
     rhs, H = _barrier_state(sym, A, b, point, 0.0)
     step, _, tangent = _newton_step(H, rhs)
-    t = max(1.0 / copies, float(rhs[1] @ step) / float(rhs[1] @ tangent))
+    t = max(1.0, float(rhs[1] @ step) / float(rhs[1] @ tangent))
     point = (point[0] - t * point[1],) + point[1:]
     iterations = stages = 0
     evaluations = 1
@@ -359,9 +317,9 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
             value = point[0]
             rhs, H = _barrier_state(sym, A, b, point, t)
             step, dec2, tangent = _newton_step(H, rhs)
-            decrement = math.sqrt(copies * dec2)       # the whole body's
+            decrement = math.sqrt(dec2)
             iterations += 1
-            if copies * dec2 / 2.0 <= tolerance or iterations > _MAX_NEWTON:
+            if dec2 / 2.0 <= tolerance or iterations > _MAX_NEWTON:
                 break
             slope = -dec2
             alpha = 1.0
@@ -409,13 +367,12 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
             f"no certified optimum after {iterations} Newton iterations: "
             f"duality gap {gap:.3e}, KKT residual {kkt:.3e}, "
             f"violation {violation:.3e}")
-    ellipsoid = Ellipsoid(scale * B, scale * d if half is None else np.zeros(n))
+    ellipsoid = Ellipsoid(scale * B, scale * d)
     if full_output:
         info = SolveInfo(newton_iterations=iterations, duality_gap=gap,
                          newton_decrement=decrement, kkt_residual=kkt,
                          det_trace=det_trace, stages=stages,
-                         value_evaluations=evaluations,
-                         mirrored=half is not None)
+                         value_evaluations=evaluations)
         return ellipsoid, info
     return ellipsoid
 

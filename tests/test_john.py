@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -119,72 +118,6 @@ class TestBarrierDerivatives:
             np.testing.assert_allclose(grad - barrier_only, t * grad0,
                                        rtol=1e-9, atol=1e-12 * np.abs(grad).max())
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_half_without_d_block_is_half_the_body(self, n):
-        # mirrored facets at d = 0: Phi_t(B, 0) = 2 Phi_{t/2}(B) of the half
-        # solved with no d block, so gradient and Hessian are the B blocks
-        # of the whole body's halved
-        rng = np.random.default_rng(200 + n)
-        P = random_polytope(n, rng, symmetric=True)
-        A, b = P.normals, P.offsets
-        half_A, half_b = john._mirror_half(A, b)
-        assert 2 * half_A.shape[0] == A.shape[0]
-        sym = john._sym_index(n)
-        q, t = sym.q, 3.7
-        M = rng.standard_normal((n, n))
-        B = 0.4 * b.min() * (np.eye(n) + 0.1 * (M + M.T))
-        theta = np.concatenate([B[sym.rows, sym.cols], np.zeros(n)])
-        whole = john._barrier_value(sym, A, b, theta, t)
-        half = john._barrier_value(sym, half_A, half_b, theta[:q], t / 2)
-        assert half[0] == pytest.approx(whole[0] / 2, rel=1e-12)
-        (grad, _), H = john._barrier_state(sym, A, b, whole, t)
-        (half_grad, _), half_H = john._barrier_state(sym, half_A, half_b, half, t / 2)
-        assert half_H.shape == (q, q)
-        scale = np.abs(grad).max()
-        np.testing.assert_allclose(half_grad, grad[:q] / 2, atol=1e-12 * scale)
-        np.testing.assert_allclose(grad[q:], 0.0, atol=1e-12 * scale)
-        np.testing.assert_allclose(H[:q, q:], 0.0, atol=1e-12 * np.abs(H).max())
-        np.testing.assert_allclose(half_H, H[:q, :q] / 2, atol=1e-12 * np.abs(H).max())
-
-
-class TestMirroredHalf:
-    """A body with exactly mirrored facets is solved over one facet of each
-    pair with d fixed at 0; translating it turns that off, and the general
-    solve of the translated body checks the half solve."""
-
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_half_solve_matches_translated_body(self, n):
-        P = random_polytope(n, 200 + n, symmetric=True)
-        E, info = max_inscribed_ellipsoid(P, full_output=True)
-        shift = np.full(n, 1e-6 / math.sqrt(n))
-        moved = apply_affine(P, AffineMap(np.eye(n), shift))
-        F, moved_info = max_inscribed_ellipsoid(moved, full_output=True)
-        assert info.mirrored and not moved_info.mirrored
-        assert np.max(np.abs(F.shape - E.shape)) <= 1e-8
-        assert np.max(np.abs(F.center - (E.center + shift))) <= 1e-8
-        assert np.array_equal(E.center, np.zeros(n))
-        assert abs(info.newton_iterations - moved_info.newton_iterations) <= 1
-        assert info.kkt_residual <= 1e-8
-
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_cube_is_mirrored(self, n):
-        _, info = max_inscribed_ellipsoid(cube(n), full_output=True)
-        assert info.mirrored
-
-    def test_inexact_mirror_is_solved_whole(self):
-        # one offset off by an ulp breaks the exact mirror
-        P = random_polytope(3, 7, symmetric=True)
-        offsets = P.offsets.copy()
-        offsets[0] = np.nextafter(offsets[0], 2.0)
-        _, info = max_inscribed_ellipsoid(HPolytope(P.normals, offsets),
-                                          full_output=True)
-        assert not info.mirrored
-        assert john._mirror_half(P.normals, P.offsets) is not None
-
-    def test_general_body_is_not_mirrored(self):
-        _, info = max_inscribed_ellipsoid(random_polytope(3, 7), full_output=True)
-        assert not info.mirrored
-
 
 class TestCertifiedStop:
     def test_coarse_schedule_fails_loudly(self, monkeypatch):
@@ -236,6 +169,31 @@ class TestCertifiedStop:
         assert dec2 == pytest.approx(0.5)
         assert step == pytest.approx([-0.5, 0.0])
 
+    def test_loose_centring_keeps_flat_optimum_distance(self, monkeypatch):
+        # body 12 of this draw has a flat optimum: the stop at a duality gap
+        # of 6e-11 certifies it to 2e-10, yet leaves it 1.14e-8 from the
+        # solve run down to a gap of 1e-13 (1.39e-8 with the whole path
+        # centred tightly from t = 1).  Loose centring before the final
+        # stages must not move it further than tight centring does.
+        rng = np.random.default_rng(20_260_004)
+        P = [random_polytope(4, rng) for _ in range(13)][-1]
+
+        def solve(**constants):
+            with monkeypatch.context() as patch:
+                for name, value in constants.items():
+                    patch.setattr(john, name, value)
+                return max_inscribed_ellipsoid(P)
+
+        def distance(E, F):
+            return max(np.abs(E.shape - F.shape).max(),
+                       np.abs(E.center - F.center).max())
+
+        reference = solve(_GAP_TOL=1e-13)
+        loose = distance(solve(), reference)
+        tight = distance(solve(_INNER_TOL=john._DECREMENT_TOL), reference)
+        assert loose <= tight + 1e-10
+        assert loose <= 1.2e-8
+
 
 class TestSolveInfo:
     @pytest.mark.parametrize("seed", [5, 6])
@@ -251,11 +209,6 @@ class TestSolveInfo:
         assert t0 >= 1.0 - 1e-12
         assert info.value_evaluations >= info.newton_iterations - info.stages
         assert info.converged
-
-    def test_read_only(self):
-        _, info = max_inscribed_ellipsoid(cube(2), full_output=True)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            info.mirrored = False
 
     def test_no_state_between_calls(self):
         P, Q = random_polytope(3, 8), random_polytope(2, 9)

@@ -9,10 +9,9 @@ map, a body moved to 1e-9 from a facet, ``cube(3)`` and
 case.  It was first written before the Newton step's numpy calls were
 trimmed, and pinned that the trimmed step did the same arithmetic.  It was
 rewritten by the commit that starts the barrier path at its most central
-weight, re-centres loosely until the duality gap reaches its tolerance,
-solves mirrored bodies over half their facets and factors B and the
-Newton system by Cholesky: those change the iterates, so every line
-moved.  That commit argued for the new bits by an accuracy survey (1,600
+weight, re-centres loosely until the duality gap reaches its tolerance
+and factors B and the Newton system by Cholesky: those change the
+iterates, so every line moved.  That commit argued for the new bits by an accuracy survey (1,600
 solves against solves run down to a duality gap of 1e-13); here every
 entry of B and d moved by at most 8.8e-10 (``symmetric-3``) and every
 Newton count fell.  A change that moves these bits changes the solver's
