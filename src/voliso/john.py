@@ -21,6 +21,13 @@ d theta = -(1 - 1/mu) t H^-1 grad f0 with H the stage's last Hessian,
 halved until it lowers Phi at the new t.  B and H are factored by Cholesky,
 which also tests that B is positive definite.
 
+In theta = (beta, d), with beta the packed lower triangle of B, each
+g_i = (b_i - <a_i, d>)^2 - |B a_i|^2 under the logarithm is quadratic, so
+its Hessian M_i is constant and its gradient is M_i theta + c_i.  The solve
+builds these tensors once from the facets; a Newton step then takes the
+barrier's gradient and Hessian from a few matrix products with them, and
+those of log det B from B^-1 by fixed gathers.
+
 The stop is certified: once the duality gap 2m/t is below tolerance, the
 KKT residual of the iterate must be small too.  Stages go on while it is
 above 1e-8 (down to a gap of 1e-13), and a result whose residual is above
@@ -69,56 +76,38 @@ _DROP_TOL = 1e-10          # contacts of smaller weight leave the decomposition
 class _SymIndex:
     """Index arrays for the packed lower triangle of a symmetric n x n matrix.
 
-    ``full`` gathers packed entries into a row-major matrix; a matmul with
-    the duplication matrix ``dup`` sums a row-major entry with its mirror.
-    Each such sum has at most two nonzero terms, so it rounds exactly as
-    the elementwise sum does.
+    ``full`` gathers packed entries into a row-major matrix.  With
+    B = sum_p beta_p E_p over the packed basis matrices E_p (ones at (j, k)
+    and (k, j)), ``curvature`` maps outer(a, a) to the Gram matrix
+    a^T E_p E_r a of the tangents E_p a.  The derivatives of -log det B are
+    read from the row-major B^-1 by gathers: its gradient -D^T vec(B^-1),
+    with D the duplication matrix, is ``-fold * B^-1[lower]``, and entry
+    (p, r) of its Hessian D^T (B^-1 kron B^-1) D, for p = (j, k) and
+    r = (l, m), is w_pr (B^-1_jl B^-1_km + B^-1_jm B^-1_kl), with the four
+    factors at ``kron_index`` and w_pr in ``kron_weight``.
     """
 
     def __init__(self, n: int):
-        pairs = [(j, k) for j in range(n) for k in range(j + 1)]
+        rows, cols = np.tril_indices(n)
         self.n = n
-        self.q = len(pairs)
-        self.rows = np.array([j for j, _ in pairs])
-        self.cols = np.array([k for _, k in pairs])
-        self.diag = self.rows == self.cols
+        self.q = q = len(rows)
+        self.rows, self.cols = rows, cols
+        self.diag = rows == cols
         self.eye = np.eye(n)
-        # duplication matrix: vec_F(B) = D @ packed(B) = packed(B)[full]
-        D = np.zeros((n * n, self.q))
-        full = np.empty(n * n, dtype=np.intp)
-        for col, (j, k) in enumerate(pairs):
-            D[k * n + j, col] = 1.0
-            D[j * n + k, col] = 1.0
-            full[k * n + j] = full[j * n + k] = col
-        self.dup = D
-        self.full = full
-        # curvature tensor: for tangents T_a = e_j a_k + e_k a_j the Gram
-        # matrix <T_a, T_b> is a fixed linear function of outer(a, a); C maps
-        # outer(a, a) to that Gram matrix, with diagonal tangents halved
-        C = np.zeros((self.q, self.q, n, n))
-        scale = np.where(self.diag, 0.5, 1.0)
-        for a_idx, (j, k) in enumerate(pairs):
-            for b_idx, (l, m) in enumerate(pairs):
-                f = scale[a_idx] * scale[b_idx]
-                for (r, s, t, u) in ((j, l, k, m), (j, m, k, l),
-                                     (k, l, j, m), (k, m, j, l)):
-                    if r == s:
-                        C[a_idx, b_idx, t, u] += f
-        self.curvature = C.reshape(self.q * self.q, n * n)
+        packed = np.empty((n, n), dtype=np.intp)
+        packed[rows, cols] = packed[cols, rows] = np.arange(q)
+        self.full = packed.reshape(-1)
+        basis = np.zeros((q, n, n))
+        basis[np.arange(q), rows, cols] = basis[np.arange(q), cols, rows] = 1.0
+        self.curvature = (basis[:, None] @ basis[None, :]).reshape(q * q, n * n)
+        self.lower = rows * n + cols
+        self.fold = np.where(self.diag, 1.0, 2.0)
+        j, k, l, m = rows[:, None], cols[:, None], rows, cols
+        self.kron_index = np.stack([j * n + l, k * n + m, j * n + m, k * n + l])
+        self.kron_weight = 0.5 * np.multiply.outer(self.fold, self.fold)
 
     def to_matrix(self, packed: np.ndarray) -> np.ndarray:
         return packed[self.full].reshape(self.n, self.n)
-
-    def from_matrix_grad(self, G: np.ndarray) -> np.ndarray:
-        """Packed gradient from a full-matrix gradient with independent entries."""
-        return G.reshape(-1) @ self.dup
-
-    def pair_products(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Row-wise packed gradient of x^T B y in B: column (j,k) is
-        x_j y_k + x_k y_j off the diagonal and x_j y_j on it; F-ordered, as
-        fancy indexing left it, so that sums over rows keep their order."""
-        outer = (X.T[:, None, :] * Y.T[None, :, :]).reshape(self.n * self.n, -1)
-        return (self.dup.T @ outer).T
 
     def sym_entries(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row-wise packed entries of sym(x y^T) = (x y^T + y x^T) / 2."""
@@ -142,9 +131,13 @@ class SolveInfo:
     and predictor trials included.  ``kkt_residual`` is that of the body
     scaled to largest offset in [0.5, 1), as the stop judged it, so it does
     not depend on the body's units.  ``newton_iterations`` does not count
-    the one solve at t = 0 that sets the start weight.  A returned solve
-    has converged, so ``converged`` is always True; a failed one raises
-    SolverError.
+    the one solve at t = 0 that sets the start weight.
+    ``newton_decrement`` is lambda of the last Newton step, not a centring
+    certificate: in the final stages the rounding of t log det B swamps
+    lambda^2 / 2, so a stage can end on a stalled line search with lambda
+    well above the target.  ``kkt_residual`` is the certificate of the
+    returned ellipsoid.  A returned solve has converged, so ``converged``
+    is always True; a failed one raises SolverError.
     """
 
     newton_iterations: int
@@ -157,8 +150,29 @@ class SolveInfo:
     value_evaluations: int = 0
 
 
+def _barrier_tensors(sym, A, b):
+    """Fixed tensors (M, c) of the barrier of the body {Ax <= b}.
+
+    In theta = (beta, d), with beta the packed B, each g_i = s_i^2 - |B a_i|^2
+    with s_i = b_i - <a_i, d> is quadratic: its gradient is M_i theta + c_i
+    and its Hessian the symmetric M_i, with B-block -2 (a_i^T E_p E_r a_i),
+    d-block 2 a_i a_i^T, and c_i = (0, -2 b_i a_i).  They are built once per
+    solve, so a Newton step needs only a few matrix products.
+    """
+    m, n = A.shape
+    q = sym.q
+    outer = (A[:, :, None] * A[:, None, :]).reshape(m, n * n)
+    M = np.zeros((m, q + n, q + n))
+    M[:, :q, :q] = (outer @ sym.curvature.T).reshape(m, q, q) * -2.0
+    M[:, q:, q:] = 2.0 * outer.reshape(m, n, n)
+    c = np.zeros((m, q + n))
+    c[:, q:] = -2.0 * b[:, None] * A
+    return M, c
+
+
 def _barrier_value(sym, A, b, theta, t):
-    """Value of Phi_t together with log det B; None when theta is infeasible."""
+    """Phi_t, log det B, the Cholesky factor of B, the g_i and theta;
+    None when theta is infeasible."""
     B = sym.to_matrix(theta[: sym.q])
     d = theta[sym.q:]
     L, info = lapack.dpotrf(B, lower=1)         # B = L L^T
@@ -172,41 +186,33 @@ def _barrier_value(sym, A, b, theta, t):
     if not slack.min() > 0:                      # slack <= s, so s > 0 too
         return None
     g = slack * (s + vnorm)
-    return -t * logdet - float(np.log(g).sum()), logdet, L, d, s, V, g
+    return -t * logdet - float(np.log(g).sum()), logdet, L, g, theta
 
 
-def _barrier_state(sym, A, b, point, t):
+def _barrier_state(sym, tensors, point, t):
     """Rows [grad Phi_t, grad f0] with f0 = -log det B, and the Hessian of
-    Phi_t, at a feasible point as _barrier_value returns it."""
+    Phi_t, at a feasible point as _barrier_value returns it, from the
+    body's _barrier_tensors (M, c).
+
+    With W_i = M_i theta + c_i the gradient of g_i, the barrier
+    -sum log g_i has gradient -sum W_i / g_i and Hessian
+    sum W_i W_i^T / g_i^2 - sum M_i / g_i.
+    """
+    M, c = tensors
     q = sym.q
-    _, _, L, d, s, V, g = point
-
-    Binv = lapack.dpotrs(L, sym.eye, lower=1)[0]
+    _, _, L, g, theta = point
+    m, size = c.shape
+    Binv = lapack.dpotrs(L, sym.eye, lower=1)[0].reshape(-1)
     inv_g = 1.0 / g
-    # packed sym(v a^T) per constraint, and the gradient
-    P1 = sym.pair_products(V, A)
-    m, n = A.shape
-    size = q + n
+    W = (M.reshape(m * size, size) @ theta).reshape(m, size) + c
     rhs = np.zeros((2, size))
-    grad, grad0 = rhs
-    grad0[:q] = -sym.from_matrix_grad(Binv)
-    grad[:q] = t * grad0[:q] + 2.0 * inv_g @ P1
-    grad[q:] = A.T @ (2.0 * s * inv_g)
-
-    # Hessian: t (Binv kron Binv) on the B-block, plus per constraint
-    # (1/g^2) w w^T - (1/g) Hess(g); Hess(g) has B-block -2 Jv^T Jv
-    # (assembled from the cached curvature tensor) and d-block 2 a a^T
-    H = np.zeros((size, size))
-    kron = np.multiply.outer(Binv, Binv).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    H[:q, :q] = t * (sym.dup.T @ kron @ sym.dup)
-    W = np.empty((m, size))                              # grad of g, row per i
-    np.multiply(P1, -2.0, out=W[:, :q])
-    np.multiply(-2.0 * s[:, None], A, out=W[:, q:])
+    rhs[1, :q] = -sym.fold * Binv[sym.lower]
+    rhs[0] = t * rhs[1] - inv_g @ W
     Wg = W * inv_g[:, None]
-    H += Wg.T @ Wg
-    S2 = (A * (2.0 * inv_g)[:, None]).T @ A             # sum (2/g) a a^T
-    H[:q, :q] += (sym.curvature @ S2.reshape(-1)).reshape(q, q)
-    H[q:, q:] -= S2
+    H = Wg.T @ Wg
+    H -= (inv_g @ M.reshape(m, size * size)).reshape(size, size)
+    K = Binv[sym.kron_index]
+    H[:q, :q] += (t * sym.kron_weight) * (K[0] * K[1] + K[2] * K[3])
     return rhs, H
 
 
@@ -300,8 +306,9 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     # start weight: t minimising |t grad f0 + grad phi| in the norm of the
     # barrier's inverse Hessian H^-1 at the start point (Boyd & Vandenberghe
     # 11.3.1), and never below t = 1
+    tensors = _barrier_tensors(sym, A, b)
     point = _barrier_value(sym, A, b, theta, 0.0)
-    rhs, H = _barrier_state(sym, A, b, point, 0.0)
+    rhs, H = _barrier_state(sym, tensors, point, 0.0)
     step, _, tangent = _newton_step(H, rhs)
     t = max(1.0, float(rhs[1] @ step) / float(rhs[1] @ tangent))
     point = (point[0] - t * point[1],) + point[1:]
@@ -315,7 +322,7 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
         tolerance = _INNER_TOL if gap > _GAP_TOL else _DECREMENT_TOL
         while True:
             value = point[0]
-            rhs, H = _barrier_state(sym, A, b, point, t)
+            rhs, H = _barrier_state(sym, tensors, point, t)
             step, dec2, tangent = _newton_step(H, rhs)
             decrement = math.sqrt(dec2)
             iterations += 1

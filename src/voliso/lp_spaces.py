@@ -270,8 +270,8 @@ def lewis_position(spec: SubspaceSpec) -> LewisPosition:
     T = sum |r_i|^{p-2} r_i r_i^T, until |T - I|_F <= ``_LEWIS_TOL``.  Zero
     rows carry zero weight and are dropped from the returned gauge.  Raises
     SolverError, naming p, as soon as a diverging iteration's weights or T
-    stop being finite, and when it does not converge within
-    ``_LEWIS_MAX_ITER`` sweeps.
+    stop being finite or T loses positive definiteness, and when it does
+    not converge within ``_LEWIS_MAX_ITER`` sweeps.
     """
     M = spec.basis
     p = spec.p
@@ -298,7 +298,10 @@ def lewis_position(spec: SubspaceSpec) -> LewisPosition:
                 break
             evals, evecs = np.linalg.eigh(T)
             if evals[0] <= 0:
-                raise SolverError("whitening matrix lost positive definiteness")
+                raise SolverError(
+                    f"Lewis iteration diverged at p = {p:g}: the whitening "
+                    f"matrix T lost positive definiteness after {iteration} "
+                    f"sweeps")
             L = L @ (evecs * evals ** (-0.5 * _LEWIS_STEP)) @ evecs.T
         else:
             raise SolverError(f"Lewis iteration did not reach {_LEWIS_TOL:.1e} "

@@ -85,6 +85,7 @@ class TestBarrierDerivatives:
         P = random_polytope(n, rng)
         A, b = P.normals, P.offsets
         sym = john._sym_index(n)
+        tensors = john._barrier_tensors(sym, A, b)
         t = 3.7
         for _ in range(3):
             # a random feasible point: a perturbed ball about a shifted center
@@ -94,14 +95,14 @@ class TestBarrierDerivatives:
             theta = np.concatenate([B[sym.rows, sym.cols], d])
             point = john._barrier_value(sym, A, b, theta, t)
             assert point is not None
-            (grad, grad0), H = john._barrier_state(sym, A, b, point, t)
+            (grad, grad0), H = john._barrier_state(sym, tensors, point, t)
 
             def value(x):
                 return john._barrier_value(sym, A, b, x, t)[0]
 
             def gradient(x):
                 return john._barrier_state(
-                    sym, A, b, john._barrier_value(sym, A, b, x, t), t)[0][0]
+                    sym, tensors, john._barrier_value(sym, A, b, x, t), t)[0][0]
 
             h = 1e-6 * b.min()
             E = np.eye(theta.size) * h
@@ -114,9 +115,78 @@ class TestBarrierDerivatives:
             np.testing.assert_allclose(H, fd_hess, rtol=1e-6,
                                        atol=1e-6 * np.abs(H).max())
             # grad f0 is the log det part of the gradient, per unit of t
-            barrier_only = john._barrier_state(sym, A, b, point, 0.0)[0][0]
+            barrier_only = john._barrier_state(sym, tensors, point, 0.0)[0][0]
             np.testing.assert_allclose(grad - barrier_only, t * grad0,
                                        rtol=1e-9, atol=1e-12 * np.abs(grad).max())
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_tensors_match_direct_assembly(self, n, symmetric):
+        # the per-body tensors give the derivatives that the direct
+        # assembly below gives, at random feasible points
+        rng = np.random.default_rng([n, symmetric])
+        P = random_polytope(n, rng, symmetric=symmetric)
+        A, b = P.normals, P.offsets
+        sym = john._sym_index(n)
+        tensors = john._barrier_tensors(sym, A, b)
+        for t in (0.0, 3.7, 1e6):
+            M = rng.standard_normal((n, n))
+            B = 0.4 * b.min() * (np.eye(n) + 0.1 * (M + M.T))
+            d = 0.1 * b.min() * rng.standard_normal(n) / math.sqrt(n)
+            theta = np.concatenate([B[sym.rows, sym.cols], d])
+            point = john._barrier_value(sym, A, b, theta, t)
+            (grad, grad0), H = john._barrier_state(sym, tensors, point, t)
+            (ref, ref0), ref_H = _direct_barrier_state(A, b, B, d, t)
+            for got, want in ((grad, ref), (grad0, ref0), (H, ref_H)):
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
+
+
+def _direct_barrier_state(A, b, B, d, t):
+    """[grad Phi_t, grad f0] and the Hessian of Phi_t in packed (B, d),
+    assembled per step: packed gradients through the duplication matrix D,
+    t D^T (B^-1 kron B^-1) D for -t log det B, and the barrier's curvature
+    from a tensor built entry by entry."""
+    m, n = A.shape
+    pairs = [(j, k) for j in range(n) for k in range(j + 1)]
+    q = len(pairs)
+    D = np.zeros((n * n, q))
+    for col, (j, k) in enumerate(pairs):
+        D[k * n + j, col] = D[j * n + k, col] = 1.0
+    # C maps outer(a, a) to the Gram matrix of the tangents
+    # T_p = e_j a_k + e_k a_j, halved on the diagonal
+    C = np.zeros((q, q, n, n))
+    scale = [0.5 if j == k else 1.0 for j, k in pairs]
+    for p, (j, k) in enumerate(pairs):
+        for r, (l, mm) in enumerate(pairs):
+            for (w, x, y, z) in ((j, l, k, mm), (j, mm, k, l),
+                                 (k, l, j, mm), (k, mm, j, l)):
+                if w == x:
+                    C[p, r, y, z] += scale[p] * scale[r]
+    C = C.reshape(q * q, n * n)
+
+    def pair_products(X, Y):
+        # row-wise packed gradient of x^T B y in B
+        return (D.T @ np.einsum("ij,ik->jki", X, Y).reshape(n * n, -1)).T
+
+    Binv = np.linalg.inv(B)
+    s = b - A @ d
+    V = A @ B
+    g = s ** 2 - (V ** 2).sum(axis=1)
+    P1 = pair_products(V, A)
+    size = q + n
+    grad0 = np.zeros(size)
+    grad0[:q] = -Binv.reshape(-1) @ D
+    grad = t * grad0
+    grad[:q] += 2.0 * (P1 / g[:, None]).sum(axis=0)
+    grad[q:] = A.T @ (2.0 * s / g)
+    W = np.hstack([-2.0 * P1, -2.0 * s[:, None] * A])
+    H = (W / g[:, None]).T @ (W / g[:, None])
+    H[:q, :q] += t * (D.T @ np.kron(Binv, Binv) @ D)
+    S2 = (A * (2.0 / g)[:, None]).T @ A
+    H[:q, :q] += (C @ S2.reshape(-1)).reshape(q, q)
+    H[q:, q:] -= S2
+    return (grad, grad0), H
 
 
 class TestCertifiedStop:

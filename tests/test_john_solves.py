@@ -14,7 +14,13 @@ and factors B and the Newton system by Cholesky: those change the
 iterates, so every line moved.  That commit argued for the new bits by an accuracy survey (1,600
 solves against solves run down to a duality gap of 1e-13); here every
 entry of B and d moved by at most 8.8e-10 (``symmetric-3``) and every
-Newton count fell.  A change that moves these bits changes the solver's
+Newton count fell.  It was rewritten again when the Newton step began to
+take the barrier's derivatives from per-body tensors built once per
+solve: the same iterates in exact arithmetic, rounded in another order.
+Every line but ``cube-3`` moved, by at most 1.4e-13 in an entry of B or d
+(``general-3``); every Newton and stage count stayed, and only two counts
+of value evaluations moved (``general-3`` 47 -> 45, ``regular-simplex-4``
+25 -> 26).  A change that moves these bits changes the solver's
 results: it must be argued for on its own, not hidden by rewriting the
 file.
 """

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -214,6 +215,26 @@ class TestLewisPosition:
                     diverged += "diverged at p = 10" in str(exc)
                     continue
                 assert lewis.residual <= 1e-10
+        assert diverged >= 20
+
+    def test_divergence_at_large_p_names_itself(self):
+        # at p = 50 most runs end when T loses positive definiteness, not
+        # when it overflows; the error still says that the iteration
+        # diverged, at which p and after how many sweeps
+        rng = np.random.default_rng(10)
+        diverged = 0
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(n, 4 * n + 1))
+            spec = SubspaceSpec(rng.standard_normal((m, n)), 50.0)
+            try:
+                lewis = lewis_position(spec)
+            except SolverError as exc:
+                assert re.match(r"Lewis iteration diverged at p = 50: .* "
+                                r"after \d+ sweeps$", str(exc))
+                diverged += 1
+                continue
+            assert lewis.residual <= 1e-10
         assert diverged >= 20
 
 
