@@ -179,8 +179,11 @@ class VPolytope:
 
     @functools.cached_property
     def _facet_areas(self):
-        """Facet areas |F_i|, on first use, about the vertex centroid (a far origin
-        costs digits); DegenerateBodyError on |sum |F_i| a_i| > 1e-12 sum |F_i|."""
+        """Facet areas |F_i|, on first use, by Lasserre's recursion about the
+        vertex centroid (a far origin costs digits): least-norm points by one
+        Gram-Schmidt step per face, heights as distances between them.
+        DegenerateBodyError on |sum |F_i| a_i| > 1e-12 sum |F_i|, or when
+        dependent facet normals at some face leave NaN areas."""
         normals, center = self._equations[:, :-1], self.vertices.mean(axis=0)
         faces = _simple_vertices(self.vertices - center, normals, self._incidence)
         areas = _lasserre(normals, -self._equations[:, -1] - normals @ center, faces)
@@ -202,8 +205,11 @@ def _simple_vertices(vertices, normals, incidence):
     n = vertices.shape[1]
     count = incidence.sum(axis=1)
     rows = [np.nonzero(incidence[count == n])[1].reshape(-1, n)]
+    split = count > n
+    if not split.any():
+        return rows[0]
     heights = np.random.default_rng(_LIFT_SEED).random(len(normals))
-    for vertex, on in zip(vertices[count > n], incidence[count > n]):
+    for vertex, on in zip(vertices[split], incidence[split]):
         facets = np.flatnonzero(on)
         w = vertex / np.linalg.norm(vertex)
         dots = normals[facets] @ w
@@ -214,39 +220,59 @@ def _simple_vertices(vertices, normals, incidence):
     return np.vstack(rows)
 
 
-def _least_norm(normals, offsets, faces):
-    """A^+ and A^+ b for the facet rows A of each face: A^-1 at a vertex,
-    else Q R^-T from A^T = QR, without the normal equations' squared condition."""
-    A = normals[faces]
-    if faces.shape[1] == normals.shape[1]:
-        pinv = np.linalg.inv(A)
-    else:
-        Q, R = np.linalg.qr(A.transpose(0, 2, 1))
-        pinv = Q @ np.linalg.inv(R).transpose(0, 2, 1)
-    return pinv, (pinv @ offsets[faces][..., None])[..., 0]
-
-
 def _lasserre(normals, offsets, faces):
     """Facet areas of the simple {<a_i, x> <= b_i} whose vertices lie on the
     facets in the rows of ``faces``, by Lasserre's recursion: face T on k
-    facets measures 1/(n - k) sum_j <p_{T+j} - p_T, u> |T + j|, p least-norm
-    points and u the unit normal to T + j in T (column j of A_{T+j}^+).  A
-    level's faces are the rows below less one index, np.unique'd on keys."""
+    facets measures 1/(n - k) sum_j h_{T+j} |T + j|, h_{T+j} the signed
+    distance inside T from p_T to T + j, p least-norm points.
+
+    The faces on k - 1 facets are the rows of those on k less one index,
+    np.unique'd on keys.  The least-norm points are built upwards from the
+    facets, p_i = b_i a_i, with no matrix factorization: a face T = T' + j,
+    T' being T less its largest index j, takes one Gram-Schmidt step on an
+    orthonormal basis Q of the rows of A_T', q = r / |r| with
+    r = a_j - Q Q^T a_j (projected twice), and
+    p_T = p_T' + (b_j - <a_j, p_T'>) / <a_j, q> q.  Since p_{T+j} - p_T lies
+    in row(A_{T+j}) and in null(A_T), a line normal to T + j inside T,
+    h_{T+j} = sign(b_j - <a_j, p_T>) |p_{T+j} - p_T|.  A face with |r| = 0
+    (dependent facet normals) gets NaN measures, which the closure guard
+    of ``VPolytope._facet_areas`` rejects.
+    """
     m, n = normals.shape
-    measure = np.ones(len(faces))
-    pinv, point = _least_norm(normals, offsets, faces)
+    levels, parents = [faces], []
     for k in range(n, 1, -1):
         keep = np.array([[c for c in range(k) if c != d] for d in range(k)])
         links = faces[:, keep].reshape(-1, k - 1)
         _, first, parent = np.unique(links @ m ** np.arange(k - 2, -1, -1),
                                      return_index=True, return_inverse=True)
-        u = pinv.transpose(0, 2, 1).reshape(-1, n)
-        child = np.repeat(point, k, axis=0)
         faces = links[first]
-        pinv, point = _least_norm(normals, offsets, faces)
-        h = ((child - point[parent]) * u).sum(axis=1) / np.linalg.norm(u, axis=1)
+        levels.append(faces)
+        parents.append(parent)
+    # levels[n - k] holds the faces on k facets; parents[n - k] maps link
+    # (T, d) of such a face T, at row k * T + d, to T less its index d
+    facets = faces[:, 0]
+    basis = normals[facets][:, None, :]
+    points = [offsets[facets, None] * normals[facets]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(2, n + 1):
+            prefix, j = parents[n - k][k - 1::k], levels[n - k][:, -1]
+            a, Q, p = normals[j], basis[prefix], points[-1][prefix]
+            r = a
+            for _ in range(2):
+                r = r - np.einsum("fki,fk->fi", Q, np.einsum("fki,fi->fk", Q, r))
+            q = r / np.linalg.norm(r, axis=1, keepdims=True)
+            step = offsets[j] - np.einsum("fi,fi->f", a, p)
+            points.append(p + (step / np.einsum("fi,fi->f", a, q))[:, None] * q)
+            basis = np.concatenate([Q, q[:, None, :]], axis=1)
+    measure = np.ones(len(levels[0]))
+    for k in range(n, 1, -1):
+        parent, j = parents[n - k], levels[n - k].ravel()
+        outer = points[k - 2][parent]
+        gap = offsets[j] - np.einsum("fi,fi->f", normals[j], outer)
+        inner = np.repeat(points[k - 1], k, axis=0)
+        h = np.copysign(np.linalg.norm(inner - outer, axis=1), gap)
         measure = np.bincount(parent, h * np.repeat(measure, k)) / (n - k + 1)
-    return np.bincount(faces[:, 0], measure, minlength=m)
+    return np.bincount(facets, measure, minlength=m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,21 @@ every estimator across batch boundaries.  ``data/batched_estimates.expected``
 holds one ``name repr(estimate)`` line per case; it was written before the
 batches were drawn ahead on a worker thread, and every estimate must still
 reproduce it exactly.
+
+Four ``petty-*`` lines (``petty_functional(cross_polytope(3))``) were
+re-pinned when the facet areas' least-norm points came to be built by one
+Gram-Schmidt step per face instead of a QR per face; the facet areas of the
+octahedron moved by a few ulps (each within 5 ulps of sqrt(3) / 2 on either
+path), and the reprs with them:
+
+- petty-8193 value 1.41650187521121 -> 1.4165018752112097 (-1.6e-16),
+  std_error 0.0011550138581535253 -> 0.001155013858153523 (-2.1e-15)
+- petty-65536 value 1.414077638196086 -> 1.4140776381960858 (-1.6e-16),
+  std_error 0.0004069622153725302 -> 0.0004069622153725308 (+1.5e-15)
+- petty-65537 std_error 0.00040555599755899064 -> 0.00040555599755899145
+  (+2.0e-15), value unchanged
+- petty-196625 value 1.4141187144557172 -> 1.414118714455717 (-1.6e-16),
+  std_error 0.00023482627946499042 -> 0.00023482627946498944 (-4.2e-15)
 """
 from pathlib import Path
 

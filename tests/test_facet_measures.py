@@ -4,7 +4,9 @@ Every VPolytope measures its facets by Lasserre's recursion on the
 vertex-facet incidence; a vertex on more than n facets is first split by a
 regular triangulation of its facet normals.  These tests pin bodies on which
 a qhull hull of the vertices fails, non-simple bodies with closed-form
-measures, the closure guard, and that simple H-born bodies build no hull.
+measures, the closure guard, that simple H-born bodies build no hull, and a
+seeded survey against qhull and against a reference recursion that takes
+each face's least-norm point from a QR factorization.
 """
 import itertools
 import math
@@ -13,8 +15,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from voliso import (DegenerateBodyError, HPolytope, VPolytope, bodies,
-                    john_position, polytope_volume, projection_area,
+from voliso import (DegenerateBodyError, HPolytope, VPolytope, apply_affine,
+                    bodies, john_position, polytope_volume, projection_area,
                     surface_area, vrep_from_hrep)
 from voliso.shapes import (cross_polytope, cube, random_affine_map,
                            random_polytope)
@@ -208,3 +210,84 @@ def test_simple_h_born_body_builds_no_hull(seed, monkeypatch):
     basis = np.linalg.svd(np.eye(5) - np.outer(theta, theta))[0][:, :4]
     assert projection_area(V, theta) == pytest.approx(
         ConvexHull(V.vertices @ basis).volume, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, vertex", [(2, 0), (3, 1), (4, 6), (5, -1), (6, 20)])
+def test_closure_guard_catches_dependent_normals(n, vertex, monkeypatch):
+    # one vertex of the cube is listed on two opposite facets, so some face
+    # has a_j in the span of its prefix's normals and a zero Gram-Schmidt
+    # residual; that must end in the closure guard, not a LinAlgError or a
+    # divide warning
+    real = bodies.HalfspaceIntersection
+
+    class OppositeFacets:
+        def __init__(self, halfspaces, interior):
+            hs = real(halfspaces, interior)
+            self.intersections = hs.intersections
+            self.dual_facets = [list(f) for f in hs.dual_facets]
+            on = self.dual_facets[vertex % len(self.dual_facets)]
+            on[1] = (on[0] + n) % (2 * n)     # rows i and i + n of cube(n) are opposite
+
+    monkeypatch.setattr(bodies, "HalfspaceIntersection", OppositeFacets)
+    V = vrep_from_hrep(cube(n))
+    with pytest.raises(DegenerateBodyError, match="residual"):
+        polytope_volume(V)
+
+
+def _least_norm_by_qr(normals, offsets, faces):
+    """A^+ and A^+ b for the facet rows A of each face: A^-1 at a vertex,
+    else Q R^-T from A^T = QR."""
+    A = normals[faces]
+    if faces.shape[1] == normals.shape[1]:
+        pinv = np.linalg.inv(A)
+    else:
+        Q, R = np.linalg.qr(A.transpose(0, 2, 1))
+        pinv = Q @ np.linalg.inv(R).transpose(0, 2, 1)
+    return pinv, (pinv @ offsets[faces][..., None])[..., 0]
+
+
+def _lasserre_by_qr(normals, offsets, faces):
+    """Reference facet areas: Lasserre's recursion with h = <p_{T+j} - p_T, u>,
+    u the unit normal to T + j in T (column j of A_{T+j}^+), and every
+    least-norm point and pseudo-inverse taken from its own factorization."""
+    m, n = normals.shape
+    measure = np.ones(len(faces))
+    pinv, point = _least_norm_by_qr(normals, offsets, faces)
+    for k in range(n, 1, -1):
+        keep = np.array([[c for c in range(k) if c != d] for d in range(k)])
+        links = faces[:, keep].reshape(-1, k - 1)
+        _, first, parent = np.unique(links @ m ** np.arange(k - 2, -1, -1),
+                                     return_index=True, return_inverse=True)
+        u = pinv.transpose(0, 2, 1).reshape(-1, n)
+        child = np.repeat(point, k, axis=0)
+        faces = links[first]
+        pinv, point = _least_norm_by_qr(normals, offsets, faces)
+        h = ((child - point[parent]) * u).sum(axis=1) / np.linalg.norm(u, axis=1)
+        measure = np.bincount(parent, h * np.repeat(measure, k)) / (n - k + 1)
+    return np.bincount(faces[:, 0], measure, minlength=m)
+
+
+# bodies per (n, symmetric), each measured in John position and as the raw
+# image under a random affine map with a shift; qhull's hull of the vertices
+# takes 0.6-2 s per 6-D body, which sets the small counts there
+SURVEY_COUNTS = {2: 4, 3: 4, 4: 4, 5: 2, 6: 1}
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("n", sorted(SURVEY_COUNTS))
+def test_survey_against_qhull_and_the_qr_recursion(n, symmetric):
+    rng = np.random.default_rng([2026, n, symmetric])
+    for _ in range(SURVEY_COUNTS[n]):
+        P = random_polytope(n, rng, symmetric=symmetric)
+        image = apply_affine(P, random_affine_map(n, rng, max_shift=0.25))
+        for body in (john_position(P)[0], image):
+            V = vrep_from_hrep(body)
+            hull = ConvexHull(V.vertices)
+            assert polytope_volume(V) == pytest.approx(hull.volume, rel=1e-12)
+            assert surface_area(V) == pytest.approx(hull.area, rel=1e-12)
+            normals, center = V._equations[:, :-1], V.vertices.mean(axis=0)
+            faces = bodies._simple_vertices(V.vertices - center, normals, V._incidence)
+            reference = _lasserre_by_qr(
+                normals, -V._equations[:, -1] - normals @ center, faces)
+            assert np.abs(V._facet_areas - reference).max() <= 1e-12 * reference.sum()
