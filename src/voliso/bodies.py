@@ -193,7 +193,12 @@ class VPolytope:
         return _readonly(areas)
 
     def contains(self, points, tol: float = 1e-9):
-        return hrep_from_vrep(self).contains(points, tol=tol)
+        """Boolean membership for one point or an array of row points, by the
+        hull's own facet rows (unrounded, and wherever the origin lies)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        E = self._equations
+        inside = np.all(pts @ E[:, :-1].T + E[:, -1] <= tol, axis=1)
+        return inside if np.asarray(points).ndim > 1 else bool(inside[0])
 
 
 def _simple_vertices(vertices, normals, incidence):
@@ -361,65 +366,6 @@ class AffineMap:
     def inverse(self) -> "AffineMap":
         Linv = np.linalg.inv(self.linear)
         return AffineMap(Linv, -Linv @ self.shift)
-
-
-@dataclass(frozen=True, eq=False)
-class BodyOracle:
-    """Black-box convex body: membership test plus a bounding radius.
-
-    ``member`` maps an array of row points to booleans; the body must be
-    contained in ``radius`` times the unit ball.  ``gauge`` (optional) is the
-    Minkowski functional of the body: gauge(x) <= 1 iff x is a member.
-    """
-
-    dim: int
-    member: object
-    radius: float
-    gauge: object = None
-
-    @classmethod
-    def from_hpolytope(cls, P: HPolytope) -> "BodyOracle":
-        lo, hi = bounding_box(P)
-        radius = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-
-        def gauge(points):
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            return np.max((pts @ P.normals.T) / P.offsets, axis=1)
-
-        return cls(dim=P.dim, member=lambda pts: P.contains(pts),
-                   radius=radius, gauge=gauge)
-
-    @classmethod
-    def from_gauge(cls, dim: int, gauge, radius: float) -> "BodyOracle":
-        def member(points):
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            return np.asarray(gauge(pts)) <= 1.0
-
-        return cls(dim=dim, member=member, radius=float(radius), gauge=gauge)
-
-    @classmethod
-    def euclidean_ball(cls, n: int, radius: float = 1.0) -> "BodyOracle":
-        r = float(radius)
-        return cls.from_gauge(n, lambda pts: np.linalg.norm(
-            np.atleast_2d(pts), axis=1) / r, r)
-
-
-def bounding_box(P: HPolytope):
-    """Tight axis-aligned bounding box of an HPolytope via 2n support LPs."""
-    n = P.dim
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for k in range(n):
-        c = np.zeros(n)
-        for sign, out in ((1.0, lo), (-1.0, hi)):
-            c[k] = sign
-            res = linprog(c, A_ub=P.normals, b_ub=P.offsets,
-                          bounds=[(None, None)] * n, method="highs")
-            if res.status != 0:
-                raise UnboundedBodyError("unbounded body: support function unbounded")
-            out[k] = sign * res.fun
-        c[k] = 0.0
-    return lo, hi
 
 
 def apply_affine(body, T: AffineMap):

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shapes
-from .bodies import (Ellipsoid, HPolytope, VPolytope, apply_affine,
-                     hrep_from_vrep, read_polytope, unit_ball_volume,
-                     vrep_from_hrep)
+from .bodies import (MAX_EXACT_DIM, Ellipsoid, HPolytope, VPolytope,
+                     apply_affine, hrep_from_vrep, read_polytope,
+                     unit_ball_volume, vrep_from_hrep)
 from .brascamp_lieb import (BLSystem, Density1D, bl_ratio,
                             reverse_isoperimetric_constant)
 from .errors import DegenerateBodyError, VolisoError
@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     reviso = subs.add_parser("reviso", help="isoperimetric quotients of "
                                             "random John-positioned bodies")
-    reviso.add_argument("--n", type=int, required=True, choices=(2, 3, 4))
+    reviso.add_argument("--n", type=int, required=True,
+                        choices=range(2, MAX_EXACT_DIM + 1))
     reviso.add_argument("--count", type=int, required=True)
     reviso.add_argument("--symmetric", action="store_true")
     reviso.add_argument("--include-simplex", action="store_true",

@@ -136,8 +136,7 @@ class SolveInfo:
     certificate: in the final stages the rounding of t log det B swamps
     lambda^2 / 2, so a stage can end on a stalled line search with lambda
     well above the target.  ``kkt_residual`` is the certificate of the
-    returned ellipsoid.  A returned solve has converged, so ``converged``
-    is always True; a failed one raises SolverError.
+    returned ellipsoid; a failed solve raises SolverError.
     """
 
     newton_iterations: int
@@ -145,7 +144,6 @@ class SolveInfo:
     newton_decrement: float
     kkt_residual: float
     det_trace: list = field(default_factory=list)
-    converged: bool = True
     stages: int = 0
     value_evaluations: int = 0
 

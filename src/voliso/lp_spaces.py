@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bodies import BodyOracle
+from .bodies import unit_ball_volume
 from .brascamp_lieb import BLSystem
 from .errors import GaugeError, SolverError
 from .measures import Estimate, McParams
@@ -66,8 +66,6 @@ def lp_ball_inscribed_radius(n: int, p: float) -> float:
 
 def lp_ball_volume_ratio(n: int, p: float) -> float:
     """vr of l_p^n: ball volume over the inscribed-ball volume, n-th root."""
-    from .bodies import unit_ball_volume
-
     rho = lp_ball_inscribed_radius(n, p)
     return (lp_ball_volume(n, p) / (unit_ball_volume(n) * rho ** n)) ** (1.0 / n)
 
@@ -111,38 +109,30 @@ class WeightedLpGauge:
                  * math.sqrt(lam_min / self.system.size))
         return 1.0 / lower
 
-    def unit_ball_oracle(self) -> BodyOracle:
-        return BodyOracle.from_gauge(self.dim, self, self.bounding_radius())
 
-
-def gauge_integral_volume(body: BodyOracle, p: float, mc: McParams) -> Estimate:
-    """Unit-ball volume from the gauge integral, for any gauge and finite p.
+def gauge_integral_volume(gauge: WeightedLpGauge, mc: McParams) -> Estimate:
+    """Unit-ball volume of ``gauge`` from the gauge integral.
 
     Estimates Gamma(1+n/p)^{-1} * integral e^{-gauge(x)^p} dx with a product
-    Student-t proposal scaled to the body's bounding radius.  Raises
-    GaugeError when sampled gauge values reveal a non-coercive gauge.
+    Student-t proposal scaled to the ball's radii.  Raises GaugeError when
+    sampled gauge values put the ball beyond ``gauge.bounding_radius()``.
     """
-    if body.gauge is None:
-        raise GaugeError("oracle carries no gauge evaluator")
-    if not (1.0 <= p < math.inf):
-        raise ValueError("the gauge integral needs finite p >= 1; "
-                         "use closed forms for p = inf")
-    n = body.dim
+    n, p, bound = gauge.dim, gauge.p, gauge.bounding_radius()
     rng = rng_from_seed(mc.seed)
     # probe directions: sampled radii 1/gauge must stay within the claimed
-    # bounding radius, otherwise the gauge is non-coercive (or the oracle's
+    # bounding radius, otherwise the gauge is non-coercive (or the claimed
     # radius is wrong); the median radius sizes the proposal
     probe = sphere_points(rng, 256, n)
-    radii = 1.0 / np.asarray(body.gauge(probe), dtype=float)
-    if not np.all(np.isfinite(radii)) or radii.max() > body.radius * (1.0 + 1e-6):
+    radii = 1.0 / np.asarray(gauge(probe), dtype=float)
+    if not np.all(np.isfinite(radii)) or radii.max() > bound * (1.0 + 1e-6):
         raise GaugeError(
             f"sampled direction radius {radii.max():.3g} exceeds the claimed "
-            f"bounding radius {body.radius:.3g} (non-coercive gauge?)")
+            f"bounding radius {bound:.3g} (non-coercive gauge?)")
     scale = float(np.median(radii)) * max(1.0, (n / p) ** (1.0 / p)) * 1.3
     proposal = StudentTProposal(dim=n, scale=scale)
     acc = RunningMean()
     for X in batches(rng, proposal.sample, mc.sample_count):
-        values = np.asarray(body.gauge(X), dtype=float)
+        values = np.asarray(gauge(X), dtype=float)
         acc.add(np.exp(-values ** p - proposal.logpdf(X)))
     norm = math.exp(-math.lgamma(1.0 + n / p))
     return Estimate(norm * acc.mean, norm * acc.std_error, mc.sample_count)
@@ -191,7 +181,7 @@ def verify_product_volume_bound(gauge: WeightedLpGauge, weights, mc: McParams) -
     if residual > 1e-8:
         raise ValueError(f"not an identity decomposition: residual "
                          f"{residual:.3e}")
-    volume = gauge_integral_volume(gauge.unit_ball_oracle(), gauge.p, mc)
+    volume = gauge_integral_volume(gauge, mc)
     bound = product_volume_bound(decomposition.weights, gauge.system.weights,
                                  gauge.p, gauge.dim)
     return ProductBoundReport(volume=volume, bound=bound,
@@ -348,10 +338,8 @@ def subspace_volume_ratio(spec: SubspaceSpec, mc: McParams) -> Estimate:
 
 def _lewis_volume_ratio(spec: SubspaceSpec, mc: McParams):
     """(Lewis position, volume-ratio estimate) of ``spec`` from one solve."""
-    from .bodies import unit_ball_volume
-
     lewis = lewis_position(spec)
-    volume = gauge_integral_volume(lewis.gauge.unit_ball_oracle(), spec.p, mc)
+    volume = gauge_integral_volume(lewis.gauge, mc)
     n = spec.n
     rho = inscribed_radius_check(lewis.gauge)
     denom = unit_ball_volume(n) * rho ** n

@@ -1,4 +1,4 @@
-"""Exact and Monte Carlo measures: volume, surface area, shadows, Petty.
+"""Exact measures (volume, surface area, shadows) and Monte Carlo shadow means.
 
 Every exact quantity of a VPolytope, for n = 2..6, comes from the areas
 |F_i| of its facets, with unit normals a_i and offsets b_i, which the body
@@ -6,18 +6,20 @@ computes once by Lasserre's recursion on its faces, each face's least-norm
 point taken by one Gram-Schmidt step from that of the face on one facet fewer,
 with no matrix factorization: |K| = (1/n) sum b_i |F_i|,
 |dK| = sum |F_i|, and the shadow along a unit theta is
-(1/2) sum |<a_i, theta>| |F_i| by Cauchy's projection formula.  Monte Carlo
-quantities are seeded, batched, and reported with standard errors.
+(1/2) sum |<a_i, theta>| |F_i| by Cauchy's projection formula.  The Monte
+Carlo quantities here are spherical means of shadows (Cauchy's surface area,
+Petty's functional), seeded, batched, and reported with standard errors; the
+one Monte Carlo volume is that of a gauge ball,
+``lp_spaces.gauge_integral_volume``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .bodies import BodyOracle, VPolytope, unit_ball_volume
+from .bodies import VPolytope, unit_ball_volume
 from .sampling import (RunningMean, batches, rng_from_seed, row_blocks,
                        sphere_points)
 
@@ -69,20 +71,6 @@ def isoperimetric_quotient(V: VPolytope) -> float:
     """surface_area / volume^((n-1)/n)."""
     n = V.dim
     return surface_area(V) / polytope_volume(V) ** ((n - 1.0) / n)
-
-
-def mc_volume(body: BodyOracle, mc: McParams) -> Estimate:
-    """Hit-or-miss volume estimate over the bounding box [-R, R]^n."""
-    rng = rng_from_seed(mc.seed)
-    n, R = body.dim, body.radius
-    box_volume = (2.0 * R) ** n
-    hits = 0
-    for pts in batches(rng, lambda rng, size: rng.uniform(-R, R, size=(size, n)),
-                       mc.sample_count):
-        hits += int(np.count_nonzero(body.member(pts)))
-    p = hits / mc.sample_count
-    se = box_volume * math.sqrt(max(p * (1.0 - p), 0.0) / mc.sample_count)
-    return Estimate(box_volume * p, se, mc.sample_count)
 
 
 def projection_area(V: VPolytope, theta, mc: McParams | None = None) -> float:

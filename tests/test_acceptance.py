@@ -220,12 +220,12 @@ def test_criterion_08_gauge_integral_volumes():
     checks = []
     for n in (2, 3):
         l1 = gauge_integral_volume(
-            WeightedLpGauge(BLSystem(np.eye(n), np.ones(n)), 1.0).unit_ball_oracle(),
-            1.0, McParams(mc, seed=40_000 + n))
+            WeightedLpGauge(BLSystem(np.eye(n), np.ones(n)), 1.0),
+            McParams(mc, seed=40_000 + n))
         checks.append((l1, lp_ball_volume(n, 1.0), f"l1 n={n}"))
         l2 = gauge_integral_volume(
-            WeightedLpGauge(BLSystem(np.eye(n), np.ones(n)), 2.0).unit_ball_oracle(),
-            2.0, McParams(mc, seed=40_100 + n))
+            WeightedLpGauge(BLSystem(np.eye(n), np.ones(n)), 2.0),
+            McParams(mc, seed=40_100 + n))
         checks.append((l2, unit_ball_volume(n), f"l2 n={n}"))
     mc_ok = all(est.agrees_with(exact) for est, exact, _ in checks)
     gamma_gap = max(abs(math.pi ** (n / 2)

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voliso import (BodyOracle, Density1D, McParams, SubspaceSpec, bl_ratio,
-                    cauchy_surface_area, mc_volume, petty_functional,
+from voliso import (Density1D, McParams, SubspaceSpec, bl_ratio,
+                    cauchy_surface_area, petty_functional,
                     subspace_volume_ratio)
 from voliso.brascamp_lieb import random_system
 from voliso.sampling import BATCH
@@ -75,8 +75,6 @@ def _cases():
             lambda c=count, s=50 + k: cauchy_surface_area(cube_vertices(3), McParams(c, s)))
         cases[f"petty-{count}"] = (
             lambda c=count, s=60 + k: petty_functional(cross_polytope(3), McParams(c, s)))
-        cases[f"mc-volume-{count}"] = (
-            lambda c=count, s=70 + k: mc_volume(BodyOracle.euclidean_ball(3), McParams(c, s)))
     return cases
 
 

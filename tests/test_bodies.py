@@ -285,32 +285,20 @@ class TestFileFormat:
             polytope_from_dict({"dim": 2, "kind": "X", "rows": []})
 
 
-class TestBodyOracle:
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_membership_convex_on_segments(self, seed):
-        from voliso import BodyOracle
+class TestVPolytopeContains:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_hull_contains_its_own_vertices(self, n):
+        # rows rounded to 9 decimals rejected some of these vertices
+        rng = np.random.default_rng([79, n])
+        for _ in range(40):
+            pts = rng.standard_normal((rng.integers(n + 2, 4 * n + 1), n))
+            V = VPolytope(pts - pts.mean(axis=0))
+            assert V.contains(V.vertices).all()
 
-        rng = np.random.default_rng(seed)
-        oracle = BodyOracle.from_hpolytope(random_polytope(3, rng))
-        pts = rng.uniform(-2, 2, size=(400, 3))
-        members = pts[oracle.member(pts)]
-        mids = 0.5 * (members[:-1] + members[1:])
-        assert oracle.member(mids).all()
-
-    def test_gauge_consistent_with_membership(self):
-        from voliso import BodyOracle
-
-        rng = np.random.default_rng(2)
-        oracle = BodyOracle.from_hpolytope(random_polytope(2, rng))
-        pts = rng.uniform(-2, 2, size=(500, 2))
-        gauge_inside = np.asarray(oracle.gauge(pts)) <= 1.0
-        assert np.array_equal(gauge_inside, oracle.member(pts))
-
-    def test_bounding_radius_contains_body(self):
-        from voliso import BodyOracle, vrep_from_hrep
-
-        rng = np.random.default_rng(3)
-        P = random_polytope(3, rng)
-        oracle = BodyOracle.from_hpolytope(P)
-        vertices = vrep_from_hrep(P).vertices
-        assert np.linalg.norm(vertices, axis=1).max() <= oracle.radius + 1e-9
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_origin_outside(self, n):
+        V = VPolytope(cube_vertices(n).vertices + 5.0)
+        assert V.contains(np.full(n, 5.0))
+        assert not V.contains(np.zeros(n))
+        inside = V.contains(np.array([np.full(n, 4.5), np.full(n, 3.5)]))
+        assert inside.tolist() == [True, False]

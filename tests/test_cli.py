@@ -120,6 +120,16 @@ class TestRevisoCommand:
                      "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flags", [["--n", "5", "--count", "2"],
+                                       ["--n", "6", "--count", "1", "--symmetric"]],
+                             ids=["n5", "n6-symmetric"])
+    def test_five_and_six_dimensions(self, capsys, flags):
+        code, out, _ = run(capsys, ["reviso", *flags, "--seed", "7"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert report["max_quotient"] <= report["constant"] * (1 + 1e-6)
+
     def test_violation_exits_1(self, capsys, monkeypatch):
         import voliso.cli as cli
 

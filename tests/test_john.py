@@ -278,7 +278,6 @@ class TestSolveInfo:
         t0 = 2 * P.num_facets / gap / john._T_FACTOR ** (info.stages - 1)
         assert t0 >= 1.0 - 1e-12
         assert info.value_evaluations >= info.newton_iterations - info.stages
-        assert info.converged
 
     def test_no_state_between_calls(self):
         P, Q = random_polytope(3, 8), random_polytope(2, 9)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from voliso import (BLSystem, BodyOracle, GaugeError, HPolytope, L1_VR_LIMIT, McParams,
+from voliso import (BLSystem, GaugeError, HPolytope, L1_VR_LIMIT, McParams,
                     SolverError, SubspaceSpec, WeightedLpGauge, gauge_integral_volume,
                     hrep_from_vrep, inscribed_radius_check, l1_vr_bound,
                     lewis_position, lp_ball_volume, lp_ball_volume_ratio,
@@ -51,32 +51,34 @@ class TestLpBallVolume:
 class TestGaugeVolume:
     def test_euclidean_ball_n3(self):
         gauge = lp_gauge(np.eye(3), np.ones(3), 2.0)
-        est = gauge_integral_volume(gauge.unit_ball_oracle(), 2.0, MC)
+        est = gauge_integral_volume(gauge, MC)
         assert est.agrees_with(4 * math.pi / 3)
 
     def test_l1_ball_n2(self):
         gauge = lp_gauge(np.eye(2), np.ones(2), 1.0)
-        est = gauge_integral_volume(gauge.unit_ball_oracle(), 1.0, MC)
+        est = gauge_integral_volume(gauge, MC)
         assert est.agrees_with(2.0)
 
-    def test_linf_gauge_with_mismatched_p(self):
-        # the identity holds for any gauge and any finite p
-        oracle = BodyOracle.from_gauge(
-            3, lambda pts: np.max(np.abs(np.atleast_2d(pts)), axis=1),
-            math.sqrt(3.0))
-        est = gauge_integral_volume(oracle, 3.0, MC)
+    def test_linf_gauge_with_mismatched_p(self, monkeypatch):
+        # the identity holds for any gauge and any finite p: the l_3 gauge's
+        # p and bounding radius sqrt(3) with the l_inf gauge's values
+        monkeypatch.setattr(WeightedLpGauge, "__call__", lambda self, pts: np.max(
+            np.abs(np.atleast_2d(pts)), axis=1))
+        gauge = lp_gauge(np.eye(3), np.ones(3), 3.0)
+        assert gauge.bounding_radius() == pytest.approx(math.sqrt(3.0))
+        est = gauge_integral_volume(gauge, MC)
         assert est.agrees_with(8.0)
 
     def test_requires_finite_p(self):
-        gauge = lp_gauge(np.eye(2), np.ones(2), 1.0)
         with pytest.raises(ValueError):
-            gauge_integral_volume(gauge.unit_ball_oracle(), math.inf, MC)
+            lp_gauge(np.eye(2), np.ones(2), math.inf)
 
-    def test_non_coercive_gauge_detected(self):
-        oracle = BodyOracle.from_gauge(
-            2, lambda pts: np.abs(np.atleast_2d(pts)[:, 0]), 1.0)
+    def test_non_coercive_gauge_detected(self, monkeypatch):
+        # a gauge that vanishes along the second axis has unbounded radii
+        monkeypatch.setattr(WeightedLpGauge, "__call__",
+                            lambda self, pts: np.abs(np.atleast_2d(pts)[:, 0]))
         with pytest.raises(GaugeError):
-            gauge_integral_volume(oracle, 1.0, MC)
+            gauge_integral_volume(lp_gauge(np.eye(2), np.ones(2), 1.0), MC)
 
     def test_gauge_homogeneity(self):
         rng = np.random.default_rng(0)

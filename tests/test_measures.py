@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from voliso import (BodyOracle, Estimate, McParams, VPolytope, bodies,
-                    cauchy_surface_area, isoperimetric_quotient, mc_volume,
+from voliso import (Estimate, McParams, VPolytope, bodies,
+                    cauchy_surface_area, isoperimetric_quotient,
                     petty_functional, polytope_volume, projection_area,
                     surface_area, unit_ball_volume, vrep_from_hrep)
-from voliso.shapes import (cross_polytope, cube, cube_vertices, random_polytope,
+from voliso.shapes import (cross_polytope, cube_vertices, random_polytope,
                            random_rotation, regular_polygon, regular_simplex)
 
 SQRT3 = math.sqrt(3.0)
@@ -90,37 +90,6 @@ class TestExactMeasures:
 
 
 class TestMcVolume:
-    def test_unit_disc(self):
-        est = mc_volume(BodyOracle.euclidean_ball(2), McParams(1_000_000, seed=0))
-        assert est.agrees_with(math.pi)
-        assert est.std_error < 0.01
-
-    def test_square_with_loose_radius(self):
-        oracle = BodyOracle.from_hpolytope(cube(2))
-        oracle = BodyOracle(dim=2, member=oracle.member, radius=2.0,
-                            gauge=oracle.gauge)
-        est = mc_volume(oracle, McParams(1_000_000, seed=1))
-        assert est.agrees_with(4.0)
-
-    def test_l1_ball(self):
-        oracle = BodyOracle.from_gauge(
-            2, lambda pts: np.abs(np.atleast_2d(pts)).sum(axis=1), 1.0)
-        est = mc_volume(oracle, McParams(500_000, seed=2))
-        assert est.agrees_with(2.0)
-
-    def test_deterministic(self):
-        oracle = BodyOracle.euclidean_ball(3)
-        a = mc_volume(oracle, McParams(100_000, seed=9))
-        b = mc_volume(oracle, McParams(100_000, seed=9))
-        assert a == b
-
-    def test_convergence_rate(self):
-        oracle = BodyOracle.euclidean_ball(2)
-        se_small = mc_volume(oracle, McParams(50_000, seed=3)).std_error
-        se_large = mc_volume(oracle, McParams(200_000, seed=3)).std_error
-        ratio = se_small / se_large
-        assert 2.0 / 1.5 <= ratio <= 2.0 * 1.5
-
     def test_mcparams_validation(self):
         with pytest.raises(ValueError):
             McParams(0)

@@ -6,9 +6,9 @@ import threading
 import numpy as np
 import pytest
 
-from voliso import (BodyOracle, Density1D, McParams, SubspaceSpec, bl_ratio,
-                    cauchy_surface_area, mc_volume, petty_functional,
-                    subspace_volume_ratio)
+from voliso import (BLSystem, Density1D, McParams, SubspaceSpec, WeightedLpGauge,
+                    bl_ratio, cauchy_surface_area, gauge_integral_volume,
+                    petty_functional, subspace_volume_ratio)
 from voliso.brascamp_lieb import random_system
 from voliso.sampling import BATCH, ROW_BLOCK, batches, matmul_rows, rng_from_seed
 from voliso.shapes import cross_polytope, cube_vertices
@@ -24,8 +24,12 @@ def _estimators(count):
         "subspace_volume_ratio": lambda: subspace_volume_ratio(spec, mc),
         "cauchy_surface_area": lambda: cauchy_surface_area(cube_vertices(3), mc),
         "petty_functional": lambda: petty_functional(cross_polytope(3), mc),
-        "mc_volume": lambda: mc_volume(BodyOracle.euclidean_ball(3), mc),
+        "gauge_integral_volume": lambda: gauge_integral_volume(_ball_gauge(), mc),
     }
+
+
+def _ball_gauge():
+    return WeightedLpGauge(BLSystem(np.eye(3), np.ones(3)), 2.0)
 
 
 def _uniform(rng, size):
@@ -71,20 +75,21 @@ def test_worker_is_joined_when_estimator_returns(name, monkeypatch):
     assert threading.active_count() == baseline
 
 
-def test_worker_is_joined_when_evaluation_raises():
+def test_worker_is_joined_when_evaluation_raises(monkeypatch):
     calls = []
+    original = WeightedLpGauge.__call__
 
-    def member(points):
+    def gauge(self, points):
         calls.append(len(points))
-        if len(calls) == 2:
-            raise RuntimeError("membership failed")
-        return np.linalg.norm(points, axis=1) <= 1.0
+        if len(calls) == 3:          # the probe, one batch, then the second
+            raise RuntimeError("gauge failed")
+        return original(self, points)
 
-    body = BodyOracle(dim=3, member=member, radius=1.0)
+    monkeypatch.setattr(WeightedLpGauge, "__call__", gauge)
     baseline = threading.active_count()
-    with pytest.raises(RuntimeError, match="membership failed"):
-        mc_volume(body, McParams(3 * BATCH))
-    assert calls == [BATCH, BATCH]
+    with pytest.raises(RuntimeError, match="gauge failed"):
+        gauge_integral_volume(_ball_gauge(), McParams(3 * BATCH))
+    assert calls == [256, BATCH, BATCH]
     assert threading.active_count() == baseline
 
 
