@@ -182,8 +182,9 @@ class VPolytope:
         """Facet areas |F_i|, on first use, by Lasserre's recursion about the
         vertex centroid (a far origin costs digits): least-norm points by one
         Gram-Schmidt step per face, heights as distances between them.
-        DegenerateBodyError on |sum |F_i| a_i| > 1e-12 sum |F_i|, or when
-        dependent facet normals at some face leave NaN areas."""
+        DegenerateBodyError on |sum |F_i| a_i| > 1e-12 sum |F_i|, when
+        dependent facet normals at some face leave NaN areas, or when qhull
+        fails to split a vertex on more than n facets."""
         normals, center = self._equations[:, :-1], self.vertices.mean(axis=0)
         faces = _simple_vertices(self.vertices - center, normals, self._incidence)
         areas = _lasserre(normals, -self._equations[:, -1] - normals @ center, faces)
@@ -218,8 +219,12 @@ def _simple_vertices(vertices, normals, incidence):
         facets = np.flatnonzero(on)
         w = vertex / np.linalg.norm(vertex)
         dots = normals[facets] @ w
-        hull = ConvexHull((normals[facets] + np.outer(heights[facets] - dots, w))
-                          / dots[:, None])
+        lifted = (normals[facets] + np.outer(heights[facets] - dots, w)) / dots[:, None]
+        try:
+            hull = ConvexHull(lifted)
+        except QhullError as exc:
+            raise DegenerateBodyError(f"qhull precision failure splitting a vertex "
+                                      f"on {len(facets)} facets: {exc}") from exc
         lower = hull.equations[:, :-1] @ w < -1e-9     # not near-vertical
         rows.append(np.sort(facets[hull.simplices[lower]], axis=1))
     return np.vstack(rows)
@@ -433,11 +438,11 @@ def _vertices_from(P: HPolytope, interior) -> VPolytope:
 
 
 def hrep_from_vrep(V: VPolytope) -> HPolytope:
-    """Facet description of the hull of a vertex list (origin must be interior)."""
+    """Facet description of the hull of a vertex list by its own qhull rows,
+    unrounded, which ``vrep_from_hrep`` takes back to V (origin interior)."""
     if V.dim > MAX_EXACT_DIM:
         raise ValueError(f"facet enumeration limited to dimension {MAX_EXACT_DIM}")
-    # rows rounded to 9 decimals, which V-file ``john`` reports depend on
-    eqs = np.unique(np.round(V._equations, 9), axis=0)
+    eqs = V._equations
     return HPolytope(eqs[:, :-1], -eqs[:, -1], validate=False)
 
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Estimate, McParams
-from .sampling import (StudentTProposal, RunningMean, batches, matmul_rows,
-                       rng_from_seed)
+from .sampling import StudentTProposal, RunningMean, batches, matmul_rows
 
 # largest |sum c_i u_i| that lift_to_cone accepts as centered
 _BARYCENTER_TOL = 1e-8
@@ -96,7 +95,7 @@ def random_system(dim: int, size: int, rng) -> BLSystem:
     c_i = |T^{-1/2} w_i|^2 with T = sum w_i w_i^T yields an exact identity
     decomposition.
     """
-    rng = rng_from_seed(rng)
+    rng = np.random.default_rng(rng)
     if size < dim:
         raise ValueError("need at least dim vectors")
     while True:
@@ -224,7 +223,7 @@ def bl_ratio(system: BLSystem, densities, mc: McParams) -> Estimate:
     c = system.weights
     log_rhs = float(np.dot(c, [math.log(f.integral) for f in densities]))
     proposal = StudentTProposal(dim=d)
-    rng = rng_from_seed(mc.seed)
+    rng = np.random.default_rng(mc.seed)
     acc = RunningMean()
     with np.errstate(invalid="ignore"):
         for X in batches(rng, proposal.sample, mc.sample_count):

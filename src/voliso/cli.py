@@ -12,7 +12,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -35,6 +34,7 @@ from .measures import (McParams, cauchy_surface_area,
 
 PASS, BOUND_VIOLATION, INPUT_ERROR = 0, 1, 2
 _REL_TOL = 1e-6
+_SAMPLES = 200_000      # default --samples
 
 
 @dataclass(frozen=True)
@@ -155,24 +155,25 @@ def cmd_john(args) -> int:
 
 
 def cmd_reviso(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, not {args.count}")
     constant = reverse_isoperimetric_constant(args.n, args.symmetric)
     rng = np.random.default_rng(args.seed)
     rows = []
     bodies = []
-    if args.include_simplex and not args.symmetric:
+    if args.include_simplex:
         bodies.append(("regular-simplex", shapes.regular_simplex(args.n)))
     for index in range(args.count):
         bodies.append((f"random-{index}",
                        shapes.random_polytope(args.n, rng, symmetric=args.symmetric)))
-    worst = -math.inf
     for label, body in bodies:
         image, _ = john_position(body)
         vertices = vrep_from_hrep(image)
         quotient = isoperimetric_quotient(vertices)
         volume = polytope_volume(vertices)
-        worst = max(worst, quotient)
         rows.append({"body": label, "facets": body.num_facets,
                      "volume": volume, "quotient": quotient})
+    worst = max(row["quotient"] for row in rows)
     config = ExperimentConfig(
         command="reviso", n=args.n, count=args.count, seed=args.seed,
         symmetric=args.symmetric,
@@ -281,9 +282,9 @@ def cmd_petty(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, samples_default=200_000):
+def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--samples", type=int, default=samples_default)
+    sub.add_argument("--samples", type=int, default=_SAMPLES)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -312,9 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     reviso.add_argument("--n", type=int, required=True,
                         choices=range(2, MAX_EXACT_DIM + 1))
     reviso.add_argument("--count", type=int, required=True)
-    reviso.add_argument("--symmetric", action="store_true")
-    reviso.add_argument("--include-simplex", action="store_true",
-                        help="inject the extremal regular simplex as body 0")
+    family = reviso.add_mutually_exclusive_group()
+    family.add_argument("--symmetric", action="store_true")
+    family.add_argument("--include-simplex", action="store_true",
+                        help="inject the extremal regular simplex as body 0 "
+                             "(not symmetric, so not with --symmetric)")
     _add_common(reviso)
 
     lp = subs.add_parser("lp", help="volume ratio of a subspace of l_p^m")

@@ -67,6 +67,7 @@ _GAP_FLOOR = 1e-13         # ... until the duality gap is this small
 _KKT_TOL = 1e-6            # largest KKT residual of a returned ellipsoid
 _DECOMPOSITION_TOL = 1e-8  # largest residual of John's weights
 _DROP_TOL = 1e-10          # contacts of smaller weight leave the decomposition
+_CONTACT_TOL = 1e-6        # contact slack, as a share of the largest offset
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,7 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     # exact scaling by a power of two to max(b) in [0.5, 1)
     scale = 2.0 ** math.frexp(float(P.offsets.max()))[1]
     b = P.offsets / scale
-    eps_contact = 1e-6 * float(b.max())
+    eps_contact = _CONTACT_TOL * float(b.max())
 
     theta = np.zeros(q + n)
     theta[:q][sym.diag] = 0.9 * float(b.min())
@@ -393,16 +394,15 @@ def john_position(P: HPolytope):
     return apply_affine(P, T), T
 
 
-def contact_points(P: HPolytope, eps_contact: float | None = None) -> np.ndarray:
+def contact_points(P: HPolytope) -> np.ndarray:
     """Facet normals touching the unit ball of a body in John position.
 
     In John position every facet has offset >= 1 and the touching facets
-    have offset 1; since normals are unit vectors, the tangency point of
-    facet i is the normal itself.  Raises NotJohnPositionError when some
-    facet cuts into the unit ball.
+    have offset 1, up to ``_CONTACT_TOL`` times the largest; since normals
+    are unit vectors, the tangency point of facet i is the normal itself.
+    Raises NotJohnPositionError when some facet cuts into the unit ball.
     """
-    if eps_contact is None:
-        eps_contact = 1e-6 * float(P.offsets.max())
+    eps_contact = _CONTACT_TOL * float(P.offsets.max())
     if np.any(P.offsets < 1.0 - eps_contact):
         raise NotJohnPositionError(
             f"unit ball not contained: min offset {P.offsets.min():.12g}")
@@ -445,7 +445,7 @@ def john_decomposition(contacts, symmetric: bool) -> BLSystem:
         raise InfeasibleDecompositionError(
             f"decomposition residual {residual:.3e} exceeds "
             f"{_DECOMPOSITION_TOL:.1e}; "
-            "contact set looks incomplete (raise eps_contact and retry)")
+            "contact set looks incomplete")
     keep = c > _DROP_TOL
     return BLSystem(U[keep], c[keep])
 

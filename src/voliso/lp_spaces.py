@@ -26,7 +26,7 @@ from .brascamp_lieb import BLSystem
 from .errors import GaugeError, SolverError
 from .measures import Estimate, McParams
 from .sampling import (StudentTProposal, RunningMean, batches, matmul_rows,
-                       rng_from_seed, sphere_points)
+                       sphere_points)
 
 L1_VR_LIMIT = math.sqrt(2.0 * math.e / math.pi)
 
@@ -118,7 +118,7 @@ def gauge_integral_volume(gauge: WeightedLpGauge, mc: McParams) -> Estimate:
     sampled gauge values put the ball beyond ``gauge.bounding_radius()``.
     """
     n, p, bound = gauge.dim, gauge.p, gauge.bounding_radius()
-    rng = rng_from_seed(mc.seed)
+    rng = np.random.default_rng(mc.seed)
     # probe directions: sampled radii 1/gauge must stay within the claimed
     # bounding radius, otherwise the gauge is non-coercive (or the claimed
     # radius is wrong); the median radius sizes the proposal
@@ -315,9 +315,7 @@ def inscribed_radius_check(gauge: WeightedLpGauge) -> float:
     """
     n = gauge.dim
     radius = lp_ball_inscribed_radius(n, gauge.p)
-    rng = rng_from_seed(_RADIUS_PROBE_SEED)
-    x = rng.standard_normal((_RADIUS_PROBE_COUNT, n))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x = sphere_points(np.random.default_rng(_RADIUS_PROBE_SEED), _RADIUS_PROBE_COUNT, n)
     worst = float((gauge(x) - 1.0 / radius).max())
     if worst > _RADIUS_PROBE_TOL:
         raise ValueError(f"gauge exceeds |x|/radius by {worst:.3e}; "

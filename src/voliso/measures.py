@@ -20,8 +20,7 @@ from functools import partial
 import numpy as np
 
 from .bodies import VPolytope, unit_ball_volume
-from .sampling import (RunningMean, batches, rng_from_seed, row_blocks,
-                       sphere_points)
+from .sampling import RunningMean, batches, row_blocks, sphere_points
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def cauchy_surface_area(V: VPolytope, mc: McParams) -> Estimate:
     """
     n = V.dim
     factor = n * unit_ball_volume(n) / unit_ball_volume(n - 1)
-    rng = rng_from_seed(mc.seed)
+    rng = np.random.default_rng(mc.seed)
     acc = RunningMean()
     for thetas in batches(rng, partial(sphere_points, dim=n), mc.sample_count):
         acc.add(_shadows(V, thetas))
@@ -116,7 +115,7 @@ def petty_functional(V: VPolytope, mc: McParams) -> Estimate:
     """
     n = V.dim
     vol = polytope_volume(V)
-    rng = rng_from_seed(mc.seed)
+    rng = np.random.default_rng(mc.seed)
     acc = RunningMean()
     for thetas in batches(rng, partial(sphere_points, dim=n), mc.sample_count):
         acc.add(_shadows(V, thetas) ** (-float(n)))

@@ -19,13 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def rng_from_seed(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 BATCH = 1 << 16
+_STUDENT_DF = 4.0   # degrees of freedom of each StudentTProposal coordinate
 
 
 def batches(rng: np.random.Generator, draw, total: int):
@@ -94,14 +89,13 @@ class StudentTProposal:
     """
 
     dim: int
-    df: float = 4.0
     scale: float = 1.5
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.scale * rng.standard_t(self.df, size=(count, self.dim))
+        return self.scale * rng.standard_t(_STUDENT_DF, size=(count, self.dim))
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
-        df, s = self.df, self.scale
+        df, s = _STUDENT_DF, self.scale
         const = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
                  - 0.5 * math.log(df * math.pi) - math.log(s))
         z = (x / s) ** 2 / df

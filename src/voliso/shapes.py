@@ -6,6 +6,8 @@ import numpy as np
 from .bodies import AffineMap, HPolytope, VPolytope, _check_bounded
 from .errors import VolisoError
 
+_MAX_RETRIES = 10   # fresh draws random_polytope makes before it gives up
+
 
 def cube(n: int, half_width: float = 1.0) -> HPolytope:
     """The cube [-w, w]^n as an H-polytope."""
@@ -45,8 +47,8 @@ def regular_simplex(n: int, inradius: float = 1.0) -> HPolytope:
     return HPolytope(W, np.full(n + 1, float(inradius)), validate=False)
 
 
-def regular_polygon(k: int, circumradius: float = 1.0, phase: float = 0.0) -> VPolytope:
-    ang = phase + 2.0 * np.pi * np.arange(k) / k
+def regular_polygon(k: int, circumradius: float = 1.0) -> VPolytope:
+    ang = 2.0 * np.pi * np.arange(k) / k
     return VPolytope(circumradius * np.stack([np.cos(ang), np.sin(ang)], axis=1))
 
 
@@ -58,18 +60,17 @@ def lp_ball_polygon(p: float, k: int = 512) -> VPolytope:
     return VPolytope(pts / gauges[:, None])
 
 
-def random_polytope(n: int, rng, symmetric: bool = False,
-                    max_retries: int = 10) -> HPolytope:
+def random_polytope(n: int, rng, symmetric: bool = False) -> HPolytope:
     """Random bounded H-polytope with facets tangent to a random sphere.
 
     Draws between 3n and 6n half-spaces with uniformly random unit normals,
     all tangent to a sphere of random radius; the symmetric variant mirrors
     each half-space through the origin.  Unbounded draws are rejected, up to
-    ``max_retries`` fresh draws; the test is a rank check and one NNLS solve
+    ``_MAX_RETRIES`` fresh draws; the test is a rank check and one NNLS solve
     (``bodies._check_bounded``), so a draw needs no LP.
     """
     rng = np.random.default_rng(rng)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         m = int(rng.integers(3 * n, 6 * n + 1))
         normals = rng.standard_normal((m, n))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
@@ -80,7 +81,7 @@ def random_polytope(n: int, rng, symmetric: bool = False,
             continue
         offsets = np.full(normals.shape[0], radius)
         return HPolytope(normals, offsets, validate=False)
-    raise VolisoError(f"no bounded draw after {max_retries} retries")
+    raise VolisoError(f"no bounded draw after {_MAX_RETRIES} retries")
 
 
 def random_affine_map(n: int, rng, max_shift: float = 0.0) -> AffineMap:

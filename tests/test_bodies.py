@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scipy.optimize import linprog
-from scipy.spatial import QhullError
+from scipy.spatial import ConvexHull, QhullError
 
 from voliso import (AffineMap, DegenerateBodyError, HPolytope, UnboundedBodyError,
                     VPolytope, apply_affine, bodies, hrep_from_vrep,
@@ -302,3 +302,21 @@ class TestVPolytopeContains:
         assert not V.contains(np.zeros(n))
         inside = V.contains(np.array([np.full(n, 4.5), np.full(n, 3.5)]))
         assert inside.tolist() == [True, False]
+
+
+class TestHullRoundTrip:
+    @pytest.mark.parametrize("n, draws", [(2, 12), (3, 12), (4, 12), (5, 8), (6, 4)])
+    def test_vertices_and_volume_come_back(self, n, draws):
+        # the first draws of each n, none skipped; facet rows rounded to 9
+        # decimals no longer met in one point at a vertex on more than n
+        # facets, and came back as a cloud of intersections
+        rng = np.random.default_rng([79, n])
+        for _ in range(draws):
+            pts = rng.standard_normal((rng.integers(n + 2, 4 * n + 1), n))
+            pts -= pts.mean(axis=0)
+            V = VPolytope(pts)
+            back = vrep_from_hrep(hrep_from_vrep(V))
+            assert back.num_vertices == V.num_vertices
+            assert np.abs(back.vertices - V.vertices).max() <= 1e-12
+            assert polytope_volume(back) == pytest.approx(
+                ConvexHull(pts).volume, rel=1e-12, abs=0)

@@ -8,7 +8,7 @@ from voliso import (BLSystem, Density1D, McParams, bl_ratio, cube_volume_bound,
                     lift_to_cone, polytope_volume, reverse_isoperimetric_constant,
                     simplex_volume_bound, vrep_from_hrep)
 from voliso.brascamp_lieb import random_system
-from voliso.sampling import StudentTProposal, rng_from_seed
+from voliso.sampling import StudentTProposal
 from voliso.shapes import regular_simplex, simplex_contact_directions
 
 MC = McParams(sample_count=400_000, seed=2)
@@ -190,7 +190,7 @@ class TestLiftToCone:
         lifted = lift_to_cone(triangle_system())
         area = polytope_volume(vrep_from_hrep(regular_simplex(2)))
         assert area == pytest.approx(3 * math.sqrt(3), abs=1e-8)
-        rng = rng_from_seed(21)
+        rng = np.random.default_rng(21)
         proposal = StudentTProposal(dim=2, scale=2.0)
         for r in (0.5, 1.5, 3.0):
             pts = proposal.sample(rng, 400_000)

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from voliso import write_polytope
+from voliso import VPolytope, write_polytope
 from voliso.cli import main
 from voliso.shapes import cube, regular_simplex
 
@@ -85,6 +86,27 @@ class TestJohnCommand:
         code, _, err = run(capsys, ["john", "--input", "/nonexistent.json"])
         assert code == 2
 
+    def test_vfile_simplex_gives_steiner_inellipsoid(self, capsys):
+        # John's ellipsoid of a simplex is its Steiner inellipsoid: centre
+        # the vertex centroid c, B^2 = sum (v_i - c)(v_i - c)^T / (n(n+1));
+        # the contacts are the facet normals of the simplex in John position
+        path = Path(__file__).parent / "data" / "simplex.json"
+        V = np.array(json.loads(path.read_text())["rows"])
+        n = V.shape[1]
+        c = V.mean(axis=0)
+        w, Q = np.linalg.eigh((V - c).T @ (V - c) / (n * (n + 1)))
+        B = (Q * np.sqrt(w)) @ Q.T
+        normals = VPolytope(np.linalg.solve(B, (V - c).T).T)._equations[:, :-1]
+        code, out, _ = run(capsys, ["john", "--input", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        assert np.abs(np.array(report["ellipsoid"]["shape"]) - B).max() <= 1e-11
+        assert np.abs(np.array(report["ellipsoid"]["center"]) - c).max() <= 1e-11
+        contacts = np.array(report["contact_points"])
+        nearest = np.linalg.norm(contacts[:, None] - normals[None], axis=2).argmin(axis=1)
+        assert sorted(nearest) == list(range(n + 1))
+        assert np.abs(contacts - normals[nearest]).max() <= 1e-11
+
 
 class TestRevisoCommand:
     def test_small_batch_passes(self, capsys):
@@ -129,6 +151,24 @@ class TestRevisoCommand:
         report = json.loads(out)
         assert report["passed"] is True
         assert report["max_quotient"] <= report["constant"] * (1 + 1e-6)
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_exits_2(self, capsys, tmp_path, count):
+        path = tmp_path / "report.json"
+        code, out, err = run(capsys, ["reviso", "--n", "2", "--count", count,
+                                      "--out", str(path)])
+        assert code == 2
+        assert "--count" in err
+        assert out == "" and not path.exists()
+
+    def test_symmetric_batch_rejects_the_simplex(self, capsys):
+        # the regular simplex is not symmetric: its quotient exceeds the
+        # symmetric bound
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reviso", "--n", "2", "--count", "1", "--symmetric",
+                  "--include-simplex"])
+        assert excinfo.value.code == 2
+        assert "--symmetric" in capsys.readouterr().err
 
     def test_violation_exits_1(self, capsys, monkeypatch):
         import voliso.cli as cli

@@ -17,7 +17,8 @@ from scipy.spatial import ConvexHull
 
 from voliso import (DegenerateBodyError, HPolytope, VPolytope, apply_affine,
                     bodies, john_position, polytope_volume, projection_area,
-                    surface_area, vrep_from_hrep)
+                    surface_area, vrep_from_hrep, write_polytope)
+from voliso.cli import main
 from voliso.shapes import (cross_polytope, cube, random_affine_map,
                            random_polytope)
 
@@ -233,6 +234,21 @@ def test_closure_guard_catches_dependent_normals(n, vertex, monkeypatch):
     V = vrep_from_hrep(cube(n))
     with pytest.raises(DegenerateBodyError, match="residual"):
         polytope_volume(V)
+
+
+def test_qhull_failure_splitting_a_vertex_is_a_degenerate_body(tmp_path, capsys):
+    # draw 2 of the 6-D hulls of 8..24 centred Gaussian points: qhull's hull
+    # of the lifted normals at the vertex on 84 facets fails (QH6297)
+    rng = np.random.default_rng([79, 6])
+    for _ in range(3):
+        pts = rng.standard_normal((rng.integers(8, 25), 6))
+    V = VPolytope(pts - pts.mean(axis=0))
+    with pytest.raises(DegenerateBodyError, match="splitting a vertex on 84 facets"):
+        polytope_volume(V)
+    path = tmp_path / "hull.json"
+    write_polytope(path, V)
+    assert main(["petty", "--input", str(path), "--samples", "100"]) == 2
+    assert "splitting a vertex" in capsys.readouterr().err
 
 
 def _least_norm_by_qr(normals, offsets, faces):

@@ -10,7 +10,7 @@ from voliso import (BLSystem, Density1D, McParams, SubspaceSpec, WeightedLpGauge
                     bl_ratio, cauchy_surface_area, gauge_integral_volume,
                     petty_functional, subspace_volume_ratio)
 from voliso.brascamp_lieb import random_system
-from voliso.sampling import BATCH, ROW_BLOCK, batches, matmul_rows, rng_from_seed
+from voliso.sampling import BATCH, ROW_BLOCK, batches, matmul_rows
 from voliso.shapes import cross_polytope, cube_vertices
 
 
@@ -38,9 +38,9 @@ def _uniform(rng, size):
 
 @pytest.mark.parametrize("total", [1, BATCH, BATCH + 1, 3 * BATCH + 17])
 def test_batches_draw_what_drawing_in_turn_draws(total):
-    rng = rng_from_seed(5)
+    rng = np.random.default_rng(5)
     got = list(batches(rng, _uniform, total))
-    reference = rng_from_seed(5)
+    reference = np.random.default_rng(5)
     sizes = [BATCH] * (total // BATCH) + ([total % BATCH] if total % BATCH else [])
     assert [len(b) for b in got] == sizes
     for batch, size in zip(got, sizes):
@@ -50,7 +50,7 @@ def test_batches_draw_what_drawing_in_turn_draws(total):
 
 
 def test_no_batches_for_no_samples():
-    assert list(batches(rng_from_seed(0), _uniform, 0)) == []
+    assert list(batches(np.random.default_rng(0), _uniform, 0)) == []
 
 
 @pytest.mark.parametrize("name", sorted(_estimators(1)))
@@ -104,7 +104,7 @@ def test_error_in_draw_reaches_caller():
     baseline = threading.active_count()
     seen = []
     with pytest.raises(ValueError, match="draw failed"):
-        for batch in batches(rng_from_seed(0), draw, 4 * BATCH):
+        for batch in batches(np.random.default_rng(0), draw, 4 * BATCH):
             seen.append(len(batch))
     assert seen == [BATCH, BATCH]
     assert threading.active_count() == baseline
