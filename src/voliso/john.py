@@ -2,39 +2,45 @@
 
 The solver maximizes log det B over ellipsoids {By + d : |y| <= 1} subject
 to the second-order-cone containment constraints |B a_i| + <a_i, d> <= b_i,
-one per facet.  It follows the central path of the log-barrier
+one per facet, written as g_i = (b_i - <a_i, d>)^2 - |B a_i|^2 >= 0 on the
+side b_i > <a_i, d>.  In theta = (beta, d), with beta the packed lower
+triangle of B, each g_i is quadratic, so its Hessian M_i is constant and
+its gradient is W_i = M_i theta + c_i.  The solve builds these tensors once
+from the facets; a Newton system then takes the constraints' derivatives
+from a few matrix products with them, and those of f0 = -log det B from
+B^-1 by fixed gathers.
 
-    Phi_t(B, d) = -t log det B - sum_i log((b_i - <a_i, d>)^2 - |B a_i|^2)
+The solve starts from the ball of radius 0.9 min(b) about the origin, which
+every HPolytope holds, so it needs no LP.  It centres that point loosely
+(lambda^2 / 2 <= 1e-2) by damped Newton steps on the log-barrier
+Phi_t = t f0 - sum_i log g_i at the weight t0 >= 1 that makes it most
+central: t0 minimises |t grad f0 + grad phi| in the norm of H_phi^-1, with
+phi the log-barrier, from one gradient, Hessian and solve at t = 0 (Boyd &
+Vandenberghe, Convex Optimization, 11.3.1).  The multipliers start at
+lam_i = 1 / (t0 g_i).  Without this centring the iteration below strays
+from the central path on flat optima, and its answer then depends on the
+order of the facets.
 
-(Boyd & Vandenberghe, Convex Optimization, 11.3-11.5).  The solve starts
-from the ball of radius 0.9 min(b) about the origin, which every HPolytope
-holds, so it needs no LP.  It starts at the weight t0 >= 1 that makes this
-point most central: t0 minimises |t grad f0 + grad phi| in the norm of
-H_phi^-1, with f0 = -log det B and phi the log-barrier, from one gradient,
-Hessian and solve at t = 0 (11.3.1).  Each barrier stage re-centres with
-damped Newton steps until lambda^2 / 2 is at most 1e-6 while the duality
-gap 2m/t is above its tolerance and at most 1e-13 after, then multiplies t
-by a fixed factor.  Between stages a predictor steps along the tangent of
-the central path (Nesterov & Nemirovskii, Interior-Point Polynomial
-Algorithms in Convex Programming, 1994), taken linear in 1/t:
-d theta = -(1 - 1/mu) t H^-1 grad f0 with H the stage's last Hessian,
-halved until it lowers Phi at the new t.  B and H are factored by Cholesky,
-which also tests that B is positive definite.
+From there a primal-dual interior-point method (Zhang & Gao, "On numerical
+solution of the maximum volume ellipsoid problem", SIAM J. Optim. 14, 2003)
+solves grad f0 = sum_i lam_i W_i, lam_i g_i = sigma mu by Mehrotra's
+predictor-corrector (SIAM J. Optim. 2, 1992).  Eliminating the multiplier
+step leaves one system in theta per iteration, with the positive definite
+matrix K = hess f0 - sum lam_i M_i + sum (lam_i / g_i) W_i W_i^T, factored
+once by Cholesky for both directions.  Each g_i is exactly quadratic along
+a step, so the corrector's target carries the second-order terms of
+lam_i g_i, and every step goes 0.99 of the exact way to the boundary of
+g > 0 and lam > 0 with no line search.  B is factored by Cholesky at each
+new point, which tests that it is positive definite; a step that fails
+the test is halved.
 
-In theta = (beta, d), with beta the packed lower triangle of B, each
-g_i = (b_i - <a_i, d>)^2 - |B a_i|^2 under the logarithm is quadratic, so
-its Hessian M_i is constant and its gradient is M_i theta + c_i.  The solve
-builds these tensors once from the facets; a Newton step then takes the
-barrier's gradient and Hessian from a few matrix products with them, and
-those of log det B from B^-1 by fixed gathers.
-
-The stop is certified: once the duality gap 2m/t is below tolerance, the
-KKT residual of the iterate must be small too.  Stages go on while it is
-above 1e-8 (down to a gap of 1e-13), and a result whose residual is above
-1e-6 raises SolverError instead of being returned.  The iterates are
-scale-equivariant but these tolerances are absolute, so the solve runs on
-the body scaled by a power of two to largest offset in [0.5, 1): a body
-gets the same stop in any units.
+The stop is certified: once the duality gap sum lam_i g_i is at most
+1e-12, the KKT residual of the iterate must be small too.  The iteration
+goes on while it is above 1e-8 (down to a gap of 1e-13), and a result whose
+residual is above 1e-6 raises SolverError instead of being returned.  The
+iterates are scale-equivariant but these tolerances are absolute, so the
+solve runs on the body scaled by a power of two to largest offset in
+[0.5, 1): a body gets the same stop in any units.
 
 A body is in John position when its maximal inscribed ellipsoid is the
 unit ball; contact points are then the facet normals at unit distance, and
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -56,15 +62,13 @@ from .bodies import Ellipsoid, HPolytope, apply_affine, vrep_from_hrep
 from .brascamp_lieb import BLSystem
 from .errors import InfeasibleDecompositionError, NotJohnPositionError, SolverError
 
-_GAP_TOL = 1e-10
-_DECREMENT_TOL = 1e-13     # on lambda^2 / 2, the Newton suboptimality estimate,
-_INNER_TOL = 1e-6          # ... relaxed to this while the gap 2m/t > _GAP_TOL
-_MAX_NEWTON = 200
-_T_FACTOR = 20.0
-_PREDICTOR_MIN = 1e-3      # smallest fraction of the tangent step tried
-_KKT_TARGET = 1e-8         # KKT residual the stages aim for ...
-_GAP_FLOOR = 1e-13         # ... until the duality gap is this small
+_GAP_TOL = 1e-12           # duality gap sum lam_i g_i of a returned ellipsoid ...
+_KKT_TARGET = 1e-8         # ... whose KKT residual the iteration aims for ...
+_GAP_FLOOR = 1e-13         # ... until the gap is this small
 _KKT_TOL = 1e-6            # largest KKT residual of a returned ellipsoid
+_CENTRE_TOL = 1e-2         # on lambda^2 / 2 at the start weight
+_STEP_FRACTION = 0.99      # share of the step to the boundary taken
+_MAX_NEWTON = 200
 _DECOMPOSITION_TOL = 1e-8  # largest residual of John's weights
 _DROP_TOL = 1e-10          # contacts of smaller weight leave the decomposition
 _CONTACT_TOL = 1e-6        # contact slack, as a share of the largest offset
@@ -127,30 +131,25 @@ _sym_index = functools.cache(_SymIndex)     # one per dimension
 class SolveInfo:
     """Diagnostics of one inscribed-ellipsoid solve.
 
-    ``stages`` counts barrier stages (one entry of ``det_trace`` each) and
-    ``value_evaluations`` the evaluations of the barrier value, line-search
-    and predictor trials included.  ``kkt_residual`` is that of the body
-    scaled to largest offset in [0.5, 1), as the stop judged it, so it does
-    not depend on the body's units.  ``newton_iterations`` does not count
-    the one solve at t = 0 that sets the start weight.
-    ``newton_decrement`` is lambda of the last Newton step, not a centring
-    certificate: in the final stages the rounding of t log det B swamps
-    lambda^2 / 2, so a stage can end on a stalled line search with lambda
-    well above the target.  ``kkt_residual`` is the certificate of the
-    returned ellipsoid; a failed solve raises SolverError.
+    ``newton_iterations`` counts the Newton systems factored: the one that
+    sets the start weight, those of the centring and one per primal-dual
+    iteration after the first, which reuses the centring's last.
+    ``value_evaluations`` counts the barrier values the centring compares:
+    the start point's and its line-search trials'.  ``duality_gap`` is
+    sum lam_i g_i at the returned ellipsoid and ``kkt_residual`` its
+    certificate, both of the body scaled to largest offset in [0.5, 1), as
+    the stop judged them, so they do not depend on the body's units.  A
+    failed solve raises SolverError.
     """
 
     newton_iterations: int
     duality_gap: float
-    newton_decrement: float
     kkt_residual: float
-    det_trace: list = field(default_factory=list)
-    stages: int = 0
     value_evaluations: int = 0
 
 
 def _barrier_tensors(sym, A, b):
-    """Fixed tensors (M, c) of the barrier of the body {Ax <= b}.
+    """Fixed tensors (M, c) of the constraints of the body {Ax <= b}.
 
     In theta = (beta, d), with beta the packed B, each g_i = s_i^2 - |B a_i|^2
     with s_i = b_i - <a_i, d> is quadratic: its gradient is M_i theta + c_i
@@ -188,31 +187,34 @@ def _barrier_value(sym, A, b, theta, t):
     return -t * logdet - float(np.log(g).sum()), logdet, L, g, theta
 
 
-def _barrier_state(sym, tensors, point, t):
-    """Rows [grad Phi_t, grad f0] with f0 = -log det B, and the Hessian of
-    Phi_t, at a feasible point as _barrier_value returns it, from the
-    body's _barrier_tensors (M, c).
+def _newton_system(sym, tensors, point, lam, weight):
+    """Gradients and Newton matrix at a feasible point as _barrier_value
+    returns it, from the body's _barrier_tensors (M, c).
 
-    With W_i = M_i theta + c_i the gradient of g_i, the barrier
-    -sum log g_i has gradient -sum W_i / g_i and Hessian
-    sum W_i W_i^T / g_i^2 - sum M_i / g_i.
+    With W_i = M_i theta + c_i the gradient of g_i, returns the rows
+    [grad f0, sum lam_i W_i] with f0 = -log det B, the W_i, and
+    K = weight hess f0 + sum (lam_i / g_i) W_i W_i^T - sum lam_i M_i.
+    Each term of the sums is lam_i g_i times the Hessian of the convex
+    -log g_i, so K is positive definite on a bounded body when lam > 0.  With
+    lam_i = 1 / g_i they are the derivatives of the barrier
+    Phi_t = t f0 - sum log g_i at weight t: its gradient is
+    t rows[0] - rows[1] and its Hessian K.
     """
     M, c = tensors
     q = sym.q
     _, _, L, g, theta = point
     m, size = c.shape
     Binv = lapack.dpotrs(L, sym.eye, lower=1)[0].reshape(-1)
-    inv_g = 1.0 / g
     W = (M.reshape(m * size, size) @ theta).reshape(m, size) + c
-    rhs = np.zeros((2, size))
-    rhs[1, :q] = -sym.fold * Binv[sym.lower]
-    rhs[0] = t * rhs[1] - inv_g @ W
-    Wg = W * inv_g[:, None]
-    H = Wg.T @ Wg
-    H -= (inv_g @ M.reshape(m, size * size)).reshape(size, size)
-    K = Binv[sym.kron_index]
-    H[:q, :q] += (t * sym.kron_weight) * (K[0] * K[1] + K[2] * K[3])
-    return rhs, H
+    rows = np.zeros((2, size))
+    rows[0, :q] = -sym.fold * Binv[sym.lower]
+    rows[1] = lam @ W
+    Ws = W * np.sqrt(lam / g)[:, None]
+    K = Ws.T @ Ws
+    K -= (lam @ M.reshape(m, size * size)).reshape(size, size)
+    X = Binv[sym.kron_index]
+    K[:q, :q] += (weight * sym.kron_weight) * (X[0] * X[1] + X[2] * X[3])
+    return rows, W, K
 
 
 def _kkt_certificate(A, b, B, d, eps_contact):
@@ -246,26 +248,39 @@ def _kkt_certificate(A, b, B, d, eps_contact):
     return max(resid, comp, violation), violation
 
 
-def _newton_step(H, rhs):
-    """Newton step -H^-1 grad, lambda^2 = grad . H^-1 grad, and H^-1 grad0,
-    for the rows [grad, grad0] of ``rhs``.
+def _factor(K):
+    """Cholesky factor of a Newton matrix K for lapack.dpotrs.
 
-    A zero gradient is a centred point: its step and lambda^2 are 0.  An H
-    that Cholesky finds not positive definite (singular or numerically
-    indefinite), or a lambda^2 that is not positive, gets one retry with
-    H + 1e-12 tr(H) I; if that fails too the solve cannot go on and
-    SolverError is raised.
+    A K that Cholesky finds not positive definite (singular or numerically
+    indefinite) gets one retry with K + 1e-12 tr(K) I; if that fails too
+    the solve cannot go on and SolverError is raised.
     """
-    grad = rhs[0]
-    matrix = H
-    for _ in range(2):
-        _, sol, info = lapack.dposv(matrix, rhs.T)     # Cholesky
-        dec2 = math.nan if info else float(grad @ sol[:, 0])
-        if dec2 > 0.0 or (dec2 == 0.0 and not grad.any()):   # False for NaN
-            return -sol[:, 0], dec2, sol[:, 1]
-        matrix = H + 1e-12 * np.trace(H) * np.eye(H.shape[0])
-    raise SolverError(f"Newton system is singular or indefinite "
-                      f"(squared decrement {dec2:.3e})")
+    F, info = lapack.dpotrf(K, lower=1, clean=0)
+    if info:
+        F, info = lapack.dpotrf(K + 1e-12 * np.trace(K) * np.eye(len(K)),
+                                lower=1, clean=0)
+    if info:
+        raise SolverError("Newton system is singular or indefinite")
+    return F
+
+
+def _step_lengths(M, g, step, w, lam, dlam, fraction):
+    """Primal and dual step lengths, ``fraction`` of the way to the
+    boundary and at most 1, and the h below.
+
+    Along theta + alpha step each g_i is the exact quadratic
+    g_i + alpha w_i + alpha^2 h_i, with w = W step and
+    h_i = step^T M_i step / 2 from the Hessians M, stacked as an
+    (m (q + n), q + n) array.  Its first zero is 1 / x for the largest
+    root x of g_i x^2 + w_i x + h_i.  The dual boundary is where
+    lam + alpha dlam first reaches zero.
+    """
+    h = 0.5 * ((M @ step).reshape(len(g), -1) @ step)
+    disc = w * w - 4.0 * h * g
+    root = (np.sqrt(np.maximum(disc, 0.0)) - w) / (2.0 * g)
+    primal = fraction / max(fraction, float(root.max(initial=0.0, where=disc >= 0.0)))
+    dual = fraction / max(fraction, float((-dlam / lam).max()))
+    return primal, dual, h
 
 
 def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
@@ -274,15 +289,15 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     Returns the unique maximizer of det B over symmetric positive-definite
     B and center d with |B a_i| + <a_i, d> <= b_i for every facet.  With
     ``full_output=True`` also returns a SolveInfo carrying the KKT residual,
-    duality gap, iteration counts and the per-stage determinant trace
-    (non-decreasing).
+    duality gap and the counts of Newton systems and barrier values.
 
     The solve needs no LP: the origin is interior at depth min(b), so it
     starts from (B, d) = (0.9 min(b) I, 0), at the barrier weight t0 >= 1
-    that makes that point most central.  Between barrier stages it steps
-    along the central-path tangent (see the module docstring) and then
-    re-centres with damped Newton steps, loosely while the duality gap is
-    above its tolerance and tightly after.
+    that makes that point most central, centres there loosely by damped
+    Newton steps and sets the multipliers lam_i = 1 / (t0 g_i).  From there
+    Mehrotra predictor-corrector steps on the primal-dual system, each 0.99
+    of the exact step to the boundary, drive the duality gap sum lam_i g_i
+    down (see the module docstring).
 
     Raises SolverError, and returns no ellipsoid, when the duality gap
     does not close within the Newton iteration cap, when a Newton system
@@ -306,79 +321,87 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     # barrier's inverse Hessian H^-1 at the start point (Boyd & Vandenberghe
     # 11.3.1), and never below t = 1
     tensors = _barrier_tensors(sym, A, b)
+    stacked = tensors[0].reshape(m * (q + n), q + n)
     point = _barrier_value(sym, A, b, theta, 0.0)
-    rhs, H = _barrier_state(sym, tensors, point, 0.0)
-    step, _, tangent = _newton_step(H, rhs)
-    t = max(1.0, float(rhs[1] @ step) / float(rhs[1] @ tangent))
+    rows, _, H = _newton_system(sym, tensors, point, 1.0 / point[3], 0.0)
+    step, tangent = lapack.dpotrs(_factor(H), rows[::-1].T, lower=1)[0].T
+    t = max(1.0, float(rows[0] @ step) / float(rows[0] @ tangent))
     point = (point[0] - t * point[1],) + point[1:]
-    iterations = stages = 0
-    evaluations = 1
-    decrement = math.inf
-    det_trace = []
+    systems = evaluations = 1
+
+    # centre at t with damped Newton steps on Phi_t, in the scaling of
+    # Phi_t / t: the step is -K^-1 r and lambda^2 = t r K^-1 r
     while True:
-        stages += 1
-        gap = 2.0 * m / t
-        tolerance = _INNER_TOL if gap > _GAP_TOL else _DECREMENT_TOL
-        while True:
-            value = point[0]
-            rhs, H = _barrier_state(sym, tensors, point, t)
-            step, dec2, tangent = _newton_step(H, rhs)
-            decrement = math.sqrt(dec2)
-            iterations += 1
-            if dec2 / 2.0 <= tolerance or iterations > _MAX_NEWTON:
-                break
-            slope = -dec2
-            alpha = 1.0
-            accepted = False
-            while alpha > 1e-13:
-                trial = theta + alpha * step
-                cand = _barrier_value(sym, A, b, trial, t)
-                evaluations += 1
-                if cand is not None and cand[0] <= value + 0.25 * alpha * slope:
-                    theta, point = trial, cand
-                    progress = value - cand[0]
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted or progress <= 1e-13 * (1.0 + abs(value)):
-                break   # numerical noise floor for this stage
-        det_trace.append(math.exp(point[1]) * scale ** n)
-        if gap <= _GAP_TOL or iterations >= _MAX_NEWTON:
-            B, d = sym.to_matrix(theta[:q]), theta[q:]
-            kkt, violation = _kkt_certificate(A, b, B, d, eps_contact)
-            # facets just off the optimum keep multipliers ~ 1/(t slack), so
-            # past the gap tolerance the stages go on while the certificate
-            # is above _KKT_TARGET, down to a duality gap of _GAP_FLOOR
-            if kkt <= _KKT_TARGET or gap <= _GAP_FLOOR or iterations >= _MAX_NEWTON:
-                break
-        # predictor: the centre theta(t) moves about linearly in 1/t, with
-        # d theta / d(1/t) = t^2 H^-1 grad f0, f0 = -log det B
-        t_next = t * _T_FACTOR
-        tangent *= -(1.0 - 1.0 / _T_FACTOR) * t
-        value = point[0] - (t_next - t) * point[1]     # Phi at t_next
-        point = (value,) + point[1:]
+        value, g = point[0], point[3]
+        lam = 1.0 / (t * g)
+        rows, W, K = _newton_system(sym, tensors, point, lam, 1.0)
+        F = _factor(K)
+        systems += 1
+        residual = rows[0] - rows[1]
+        step = -lapack.dpotrs(F, residual, lower=1)[0]
+        slope = t * float(residual @ step)              # -lambda^2
+        if -slope / 2.0 <= _CENTRE_TOL or systems >= _MAX_NEWTON:
+            break
         alpha = 1.0
-        while alpha > _PREDICTOR_MIN:
-            trial = theta + alpha * tangent
-            cand = _barrier_value(sym, A, b, trial, t_next)
+        while alpha > 1e-13:
+            cand = _barrier_value(sym, A, b, theta + alpha * step, t)
             evaluations += 1
-            if cand is not None and cand[0] < value:
-                theta, point = trial, cand
+            if cand is not None and cand[0] <= value + 0.25 * alpha * slope:
                 break
             alpha *= 0.5
-        t = t_next
+        if alpha <= 1e-13 or value - cand[0] <= 1e-13 * (1.0 + abs(value)):
+            break   # numerical noise floor: go on from the centred point
+        point = cand
+        theta = point[4]
+
+    # Mehrotra predictor-corrector on grad f0 = sum lam_i W_i and
+    # lam_i g_i = sigma mu; with the multiplier step eliminated, its system
+    # in theta has the matrix K, here still the centring's last
+    gap = float(lam @ g)
+    while True:
+        # predictor: the affine-scaling direction, complementarity target 0
+        dtheta = lapack.dpotrs(F, -rows[0], lower=1)[0]
+        w = W @ dtheta
+        dlam = -lam - (lam / g) * w
+        primal, dual, h = _step_lengths(stacked, g, dtheta, w, lam, dlam, 1.0)
+        mu = gap / m
+        mu_aff = float((lam + dual * dlam) @ (g + primal * (w + primal * h))) / m
+        # corrector: the centring target sigma mu, sigma = (mu_aff / mu)^3,
+        # less the second-order terms of lam_i g_i along the predictor
+        target = ((mu_aff / mu) ** 3 * mu - dlam * w - lam * h) / g
+        dtheta = lapack.dpotrs(F, target @ W - rows[0], lower=1)[0]
+        w = W @ dtheta
+        dlam = target - lam - (lam / g) * w
+        alpha, dual, _ = _step_lengths(stacked, g, dtheta, w, lam, dlam,
+                                       _STEP_FRACTION)
+        while True:
+            point = _barrier_value(sym, A, b, theta + alpha * dtheta, 0.0)
+            if point is not None:
+                break
+            alpha *= 0.5        # B lost definiteness or rounding hit the boundary
+        theta, g = point[4], point[3]
+        lam = lam + dual * dlam
+        gap = float(lam @ g)
+        if gap <= _GAP_TOL or systems >= _MAX_NEWTON:
+            B, d = sym.to_matrix(theta[:q]), theta[q:]
+            kkt, violation = _kkt_certificate(A, b, B, d, eps_contact)
+            # past the gap tolerance the iteration goes on while the
+            # certificate is above _KKT_TARGET, down to a gap of _GAP_FLOOR
+            if kkt <= _KKT_TARGET or gap <= _GAP_FLOOR or systems >= _MAX_NEWTON:
+                break
+        rows, W, K = _newton_system(sym, tensors, point, lam, 1.0)
+        F = _factor(K)
+        systems += 1
 
     if gap > 1e-8 or violation > 1e-9 or not kkt <= _KKT_TOL:
         raise SolverError(
-            f"no certified optimum after {iterations} Newton iterations: "
+            f"no certified optimum after {systems} Newton systems: "
             f"duality gap {gap:.3e}, KKT residual {kkt:.3e}, "
             f"violation {violation:.3e}")
     ellipsoid = Ellipsoid(scale * B, scale * d)
     if full_output:
-        info = SolveInfo(newton_iterations=iterations, duality_gap=gap,
-                         newton_decrement=decrement, kkt_residual=kkt,
-                         det_trace=det_trace, stages=stages,
-                         value_evaluations=evaluations)
+        info = SolveInfo(newton_iterations=systems, duality_gap=gap,
+                         kkt_residual=kkt, value_evaluations=evaluations)
         return ellipsoid, info
     return ellipsoid
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -56,12 +57,23 @@ class TestMaxInscribedEllipsoid:
             _, info = max_inscribed_ellipsoid(P, full_output=True)
             assert info.kkt_residual <= 1e-8
 
-    def test_det_trace_monotone(self):
+    def test_iterates_stay_interior(self, monkeypatch):
+        # every Newton system is built at a strictly feasible point with
+        # positive multipliers: the steps go 0.99 of the way to the boundary
         rng = np.random.default_rng(4)
         P = random_polytope(3, rng)
+        seen = []
+        build = john._newton_system
+
+        def spy(sym, tensors, point, lam, weight):
+            seen.append((point[3].copy(), np.copy(lam)))
+            return build(sym, tensors, point, lam, weight)
+
+        monkeypatch.setattr(john, "_newton_system", spy)
         _, info = max_inscribed_ellipsoid(P, full_output=True)
-        trace = info.det_trace
-        assert all(a <= b + 1e-10 * max(1.0, b) for a, b in zip(trace, trace[1:]))
+        assert len(seen) == info.newton_iterations
+        for g, lam in seen:
+            assert g.min() > 0.0 and lam.min() > 0.0
 
     def test_hexagon_degenerate_multipliers(self):
         # regular hexagon tangent to the unit disc: 6 contacts but only a
@@ -95,58 +107,60 @@ class TestBarrierDerivatives:
             theta = np.concatenate([B[sym.rows, sym.cols], d])
             point = john._barrier_value(sym, A, b, theta, t)
             assert point is not None
-            (grad, grad0), H = john._barrier_state(sym, tensors, point, t)
 
-            def value(x):
-                return john._barrier_value(sym, A, b, x, t)[0]
+            def barrier(x):
+                # with lam_i = 1 / g_i the system is the barrier's gradient
+                # t rows[0] - rows[1] and Hessian K
+                at = john._barrier_value(sym, A, b, x, t)
+                (grad0, dual), W, K = john._newton_system(sym, tensors, at,
+                                                          1.0 / at[3], t)
+                return at, t * grad0 - dual, W, K
 
-            def gradient(x):
-                return john._barrier_state(
-                    sym, tensors, john._barrier_value(sym, A, b, x, t), t)[0][0]
-
+            _, grad, W, H = barrier(theta)
             h = 1e-6 * b.min()
-            E = np.eye(theta.size) * h
-            fd_grad = np.array([(value(theta + e) - value(theta - e)) / (2 * h)
-                                for e in E])
-            fd_hess = np.array([(gradient(theta + e) - gradient(theta - e)) / (2 * h)
-                                for e in E])
+            pairs = [(barrier(theta + e), barrier(theta - e))
+                     for e in np.eye(theta.size) * h]
+            fd_grad = np.array([(up[0][0] - down[0][0]) / (2 * h) for up, down in pairs])
+            fd_hess = np.array([(up[1] - down[1]) / (2 * h) for up, down in pairs])
+            # W holds the gradients of the g_i
+            fd_W = np.array([(up[0][3] - down[0][3]) / (2 * h) for up, down in pairs]).T
             np.testing.assert_allclose(grad, fd_grad, rtol=1e-6,
                                        atol=1e-6 * np.abs(grad).max())
             np.testing.assert_allclose(H, fd_hess, rtol=1e-6,
                                        atol=1e-6 * np.abs(H).max())
-            # grad f0 is the log det part of the gradient, per unit of t
-            barrier_only = john._barrier_state(sym, tensors, point, 0.0)[0][0]
-            np.testing.assert_allclose(grad - barrier_only, t * grad0,
-                                       rtol=1e-9, atol=1e-12 * np.abs(grad).max())
+            np.testing.assert_allclose(W, fd_W, rtol=1e-6, atol=1e-6 * np.abs(W).max())
 
     @pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_tensors_match_direct_assembly(self, n, symmetric):
-        # the per-body tensors give the derivatives that the direct
-        # assembly below gives, at random feasible points
+        # the per-body tensors give the system that the direct assembly
+        # below gives, at random feasible points and positive multipliers
         rng = np.random.default_rng([n, symmetric])
         P = random_polytope(n, rng, symmetric=symmetric)
         A, b = P.normals, P.offsets
         sym = john._sym_index(n)
         tensors = john._barrier_tensors(sym, A, b)
-        for t in (0.0, 3.7, 1e6):
+        for weight in (0.0, 3.7, 1e6):
             M = rng.standard_normal((n, n))
             B = 0.4 * b.min() * (np.eye(n) + 0.1 * (M + M.T))
             d = 0.1 * b.min() * rng.standard_normal(n) / math.sqrt(n)
+            lam = rng.uniform(0.1, 10.0, P.num_facets)
             theta = np.concatenate([B[sym.rows, sym.cols], d])
-            point = john._barrier_value(sym, A, b, theta, t)
-            (grad, grad0), H = john._barrier_state(sym, tensors, point, t)
-            (ref, ref0), ref_H = _direct_barrier_state(A, b, B, d, t)
-            for got, want in ((grad, ref), (grad0, ref0), (H, ref_H)):
+            point = john._barrier_value(sym, A, b, theta, 0.0)
+            (grad0, dual), W, K = john._newton_system(sym, tensors, point, lam, weight)
+            (ref0, ref_dual), ref_W, ref_K = _direct_newton_system(A, b, B, d, lam,
+                                                                   weight)
+            for got, want in ((grad0, ref0), (dual, ref_dual), (W, ref_W), (K, ref_K)):
                 np.testing.assert_allclose(got, want, rtol=1e-12,
                                            atol=1e-12 * np.abs(want).max())
 
 
-def _direct_barrier_state(A, b, B, d, t):
-    """[grad Phi_t, grad f0] and the Hessian of Phi_t in packed (B, d),
-    assembled per step: packed gradients through the duplication matrix D,
-    t D^T (B^-1 kron B^-1) D for -t log det B, and the barrier's curvature
-    from a tensor built entry by entry."""
+def _direct_newton_system(A, b, B, d, lam, weight):
+    """[grad f0, sum lam_i W_i], the gradients W_i of the g_i and the matrix
+    weight hess f0 + sum (lam_i / g_i) W_i W_i^T - sum lam_i M_i in packed
+    (B, d), assembled per step: packed gradients through the duplication
+    matrix D, D^T (B^-1 kron B^-1) D for -log det B, and the constraints'
+    curvature from a tensor built entry by entry."""
     m, n = A.shape
     pairs = [(j, k) for j in range(n) for k in range(j + 1)]
     q = len(pairs)
@@ -173,36 +187,26 @@ def _direct_barrier_state(A, b, B, d, t):
     s = b - A @ d
     V = A @ B
     g = s ** 2 - (V ** 2).sum(axis=1)
-    P1 = pair_products(V, A)
     size = q + n
     grad0 = np.zeros(size)
     grad0[:q] = -Binv.reshape(-1) @ D
-    grad = t * grad0
-    grad[:q] += 2.0 * (P1 / g[:, None]).sum(axis=0)
-    grad[q:] = A.T @ (2.0 * s / g)
-    W = np.hstack([-2.0 * P1, -2.0 * s[:, None] * A])
-    H = (W / g[:, None]).T @ (W / g[:, None])
-    H[:q, :q] += t * (D.T @ np.kron(Binv, Binv) @ D)
-    S2 = (A * (2.0 / g)[:, None]).T @ A
-    H[:q, :q] += (C @ S2.reshape(-1)).reshape(q, q)
-    H[q:, q:] -= S2
-    return (grad, grad0), H
+    W = np.hstack([-2.0 * pair_products(V, A), -2.0 * s[:, None] * A])
+    scaled = W * np.sqrt(lam / g)[:, None]
+    K = scaled.T @ scaled
+    K[:q, :q] += weight * (D.T @ np.kron(Binv, Binv) @ D)
+    S2 = (A * (2.0 * lam)[:, None]).T @ A
+    K[:q, :q] += (C @ S2.reshape(-1)).reshape(q, q)
+    K[q:, q:] -= S2
+    return (grad0, lam @ W), W, K
 
 
 class TestCertifiedStop:
-    def test_coarse_schedule_fails_loudly(self, monkeypatch):
-        # with t multiplied by 100 per stage the Newton iterations no longer
-        # reach the central path on some bodies; such a solve must raise,
-        # not return an ellipsoid that the KKT certificate rejects
-        monkeypatch.setattr(john, "_T_FACTOR", 100.0)
-        rng = np.random.default_rng(2024)
-        for i in range(30):
-            P = random_polytope(3, rng, symmetric=bool(i % 2))
-            try:
-                _, info = max_inscribed_ellipsoid(P, full_output=True)
-            except SolverError:
-                continue
-            assert info.kkt_residual <= 1e-6
+    def test_iteration_cap_fails_loudly(self, monkeypatch):
+        # a solve cut off before its gap closes must raise, not return the
+        # uncertified iterate
+        monkeypatch.setattr(john, "_MAX_NEWTON", 6)
+        with pytest.raises(SolverError, match="no certified optimum after 6 Newton"):
+            max_inscribed_ellipsoid(random_polytope(3, 5))
 
     def test_uncertified_result_raises(self, monkeypatch):
         monkeypatch.setattr(john, "_kkt_certificate",
@@ -212,16 +216,14 @@ class TestCertifiedStop:
 
     def test_indefinite_newton_system_raises(self):
         with pytest.raises(SolverError, match="singular or indefinite"):
-            john._newton_step(-np.eye(3), np.ones((2, 3)))
+            john._factor(-np.eye(3))
 
-    def test_zero_gradient_is_centred(self):
-        # a start point that is already central has a zero gradient: its
-        # step and squared decrement are 0, and the system is not singular
-        rhs = np.array([[0.0, 0.0], [1.0, 1.0]])
-        step, dec2, tangent = john._newton_step(np.diag([2.0, 4.0]), rhs)
-        assert dec2 == 0.0
-        assert not step.any()
-        assert tangent == pytest.approx([0.5, 0.25])
+    @pytest.mark.parametrize("make", [cube, regular_simplex], ids=["cube", "simplex"])
+    def test_central_start_takes_no_centring_step(self, make):
+        # the start ball of a cube or a regular simplex is central at the
+        # start weight: the centring evaluates the start point and stops
+        _, info = max_inscribed_ellipsoid(make(3), full_output=True)
+        assert info.value_evaluations == 1
 
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("make", [cube, regular_simplex], ids=["cube", "simplex"])
@@ -234,19 +236,17 @@ class TestCertifiedStop:
         assert np.max(np.abs(E.center)) <= 1e-8
 
     def test_singular_newton_system_is_regularised(self):
-        step, dec2, _ = john._newton_step(np.diag([2.0, 0.0]),
-                                          np.array([[1.0, 0.0], [1.0, 1.0]]))
-        assert dec2 == pytest.approx(0.5)
-        assert step == pytest.approx([-0.5, 0.0])
+        F = john._factor(np.diag([2.0, 0.0]))
+        step = john.lapack.dpotrs(F, np.array([1.0, 0.0]), lower=1)[0]
+        assert step == pytest.approx([0.5, 0.0])
 
     def test_loose_centring_keeps_flat_optimum_distance(self, monkeypatch):
-        # body 12 of this draw has a flat optimum: the stop at a duality gap
-        # of 6e-11 certifies it to 2e-10, yet leaves it 1.14e-8 from the
-        # solve run down to a gap of 1e-13 (1.39e-8 with the whole path
-        # centred tightly from t = 1).  Loose centring before the final
-        # stages must not move it further than tight centring does.
-        rng = np.random.default_rng(20_260_004)
-        P = [random_polytope(4, rng) for _ in range(13)][-1]
+        # body 12 of this draw has a flat optimum: the barrier path's stop
+        # at a duality gap of 6e-11 certified it to 2e-10, yet left it
+        # 1.14e-8 from the solve run down to a gap of 1e-13.  Loose
+        # centring at the start weight must not move it further than tight
+        # centring does.
+        P = _flat_optimum_bodies()[12]
 
         def solve(**constants):
             with monkeypatch.context() as patch:
@@ -260,24 +260,80 @@ class TestCertifiedStop:
 
         reference = solve(_GAP_TOL=1e-13)
         loose = distance(solve(), reference)
-        tight = distance(solve(_INNER_TOL=john._DECREMENT_TOL), reference)
+        tight = distance(solve(_CENTRE_TOL=1e-13), reference)
         assert loose <= tight + 1e-10
         assert loose <= 1.2e-8
 
 
+@functools.cache
+def _flat_optimum_bodies():
+    """200 draws of 4-D general bodies; 12, 121 and 123 have flat optima."""
+    rng = np.random.default_rng(20_260_004)
+    return [random_polytope(4, rng) for _ in range(200)]
+
+
+def _distance(E, F):
+    return max(np.abs(E.shape - F.shape).max(), np.abs(E.center - F.center).max())
+
+
+def _elongated_triangle_body():
+    # facets tangent to one circle whose John ellipse lies far from it,
+    # centred near (251, -212)
+    rng = np.random.default_rng(1813316532)
+    return [random_polytope(2, rng) for _ in range(3)][-1]
+
+
+HARD_BODIES = {
+    "elongated-2": _elongated_triangle_body,
+    "near-facet-4": lambda: _near_facet(random_polytope(4, 404), 1e-9)[0],
+    "flat-optimum-4": lambda: _flat_optimum_bodies()[123],
+}
+
+
+class TestHardBodies:
+    @pytest.mark.parametrize("name", sorted(HARD_BODIES))
+    def test_certified(self, name):
+        # the elongated body needs the centring at the start weight; the
+        # near-facet one a regularised Newton matrix; on the flat optimum
+        # the stationarity residual stalls near 1e-8 while the gap closes
+        P = HARD_BODIES[name]()
+        E, info = max_inscribed_ellipsoid(P, full_output=True)
+        assert info.kkt_residual <= 1e-8
+        assert info.duality_gap <= john._GAP_TOL
+        if name == "elongated-2":
+            assert np.abs(E.center - [251.1, -211.7]).max() <= 0.1
+
+    @pytest.mark.parametrize("index, bound", [(12, 1e-12), (121, 1e-8), (123, 5e-7)])
+    def test_facet_order(self, index, bound):
+        # the ellipsoid depends on the body, not on the order of its facets;
+        # the bounds were fixed before the primal-dual solve was measured
+        P = _flat_optimum_bodies()[index]
+        E = max_inscribed_ellipsoid(P)
+        for k in range(1, 6):
+            perm = np.random.default_rng(k).permutation(P.num_facets)
+            F = max_inscribed_ellipsoid(HPolytope(P.normals[perm], P.offsets[perm],
+                                                  validate=False))
+            assert _distance(F, E) <= bound
+
+
 class TestSolveInfo:
     @pytest.mark.parametrize("seed", [5, 6])
-    def test_counts(self, seed):
+    def test_counts(self, seed, monkeypatch):
+        # newton_iterations counts the Newton matrices factored, and the
+        # stop comes at a gap within tolerance with a certified residual
         P = random_polytope(3, seed)
+        factored = []
+        factor = john._factor
+
+        def count(K):
+            factored.append(K.shape)
+            return factor(K)
+
+        monkeypatch.setattr(john, "_factor", count)
         _, info = max_inscribed_ellipsoid(P, full_output=True)
-        # t starts at some t0 >= 1 and grows by _T_FACTOR until 2m/t is at
-        # most _GAP_TOL: the last stage is the first one past the tolerance
-        assert info.stages == len(info.det_trace)
-        gap = info.duality_gap
-        assert john._GAP_TOL / john._T_FACTOR < gap <= john._GAP_TOL
-        t0 = 2 * P.num_facets / gap / john._T_FACTOR ** (info.stages - 1)
-        assert t0 >= 1.0 - 1e-12
-        assert info.value_evaluations >= info.newton_iterations - info.stages
+        assert info.newton_iterations == len(factored)
+        assert 0.0 < info.duality_gap <= john._GAP_TOL
+        assert info.kkt_residual <= john._KKT_TARGET
 
     def test_no_state_between_calls(self):
         P, Q = random_polytope(3, 8), random_polytope(2, 9)
@@ -384,8 +440,8 @@ class TestScale:
         assert np.max(np.abs(F.shape / scale - E.shape)) <= 1e-8
         assert np.max(np.abs(F.center / scale - E.center)) <= 1e-8
         assert scaled_info.kkt_residual <= 1e-8
-        assert scaled_info.det_trace[-1] == pytest.approx(
-            info.det_trace[-1] * scale ** P.dim, rel=1e-6)
+        assert np.linalg.det(F.shape) == pytest.approx(
+            np.linalg.det(E.shape) * scale ** P.dim, rel=1e-6)
 
     @pytest.mark.parametrize("power", [-30, 30])
     def test_power_of_two_units_change_nothing(self, power):

@@ -1,26 +1,28 @@
 """Inscribed-ellipsoid solves compared bit for bit with stored ones.
 
 ``data/john_solves.expected`` holds one line per body: its name, the
-solve's ``newton_iterations``, ``value_evaluations`` and ``stages``, then
-every entry of the ellipsoid's shape B and centre d as ``float.hex``.  The
-bodies cover n = 2..6, general and symmetric, bodies under a random affine
-map, a body moved to 1e-9 from a facet, ``cube(3)`` and
-``regular_simplex(4)``.  The file is printed by ``_line(name)`` for every
-case.  It was first written before the Newton step's numpy calls were
-trimmed, and pinned that the trimmed step did the same arithmetic.  It was
-rewritten by the commit that starts the barrier path at its most central
-weight, re-centres loosely until the duality gap reaches its tolerance
-and factors B and the Newton system by Cholesky: those change the
-iterates, so every line moved.  That commit argued for the new bits by an accuracy survey (1,600
-solves against solves run down to a duality gap of 1e-13); here every
-entry of B and d moved by at most 8.8e-10 (``symmetric-3``) and every
-Newton count fell.  It was rewritten again when the Newton step began to
-take the barrier's derivatives from per-body tensors built once per
-solve: the same iterates in exact arithmetic, rounded in another order.
-Every line but ``cube-3`` moved, by at most 1.4e-13 in an entry of B or d
-(``general-3``); every Newton and stage count stayed, and only two counts
-of value evaluations moved (``general-3`` 47 -> 45, ``regular-simplex-4``
-25 -> 26).  A change that moves these bits changes the solver's
+solve's ``newton_iterations`` and ``value_evaluations``, then every entry
+of the ellipsoid's shape B and centre d as ``float.hex``.  The bodies
+cover n = 2..6, general and symmetric, bodies under a random affine map, a
+body moved to 1e-9 from a facet, ``cube(3)`` and ``regular_simplex(4)``.
+The file is printed by ``_line(name)`` for every case.  It was first
+written before the Newton step's numpy calls were trimmed, and pinned that
+the trimmed step did the same arithmetic.  It was rewritten by the commit
+that starts the barrier path at its most central weight (every entry of B
+and d moved by at most 8.8e-10), and again when the Newton step began to
+take the barrier's derivatives from per-body tensors (at most 1.4e-13).
+Both were argued for by an accuracy survey of 1,600 solves against solves
+run down to a duality gap of 1e-13.
+
+It was rewritten again when the barrier stages gave way to the
+primal-dual iteration, which also dropped the ``stages`` column.  Every
+line moved, by at most 9.5e-10 in an entry of B or d (``symmetric-3``).
+``newton_iterations`` now counts every Newton system factored, the start
+weight's included, and fell on every line (for example ``general-2``
+39 -> 12, ``near-facet-4`` 84 -> 46).  On the same survey the largest
+distance to the gap-1e-13 reference fell from 1.1e-8 to 1.7e-9, and
+``cube-3`` and ``regular-simplex-4`` came within 5e-15 of the unit ball
+instead of 4.6e-12.  A change that moves these bits changes the solver's
 results: it must be argued for on its own, not hidden by rewriting the
 file.
 """
@@ -66,8 +68,7 @@ def _line(name):
     E, info = max_inscribed_ellipsoid(CASES[name](), full_output=True)
     B = ",".join(float(x).hex() for x in E.shape.ravel())
     d = ",".join(float(x).hex() for x in E.center)
-    return (f"{name} {info.newton_iterations} {info.value_evaluations} "
-            f"{info.stages} {B} {d}")
+    return f"{name} {info.newton_iterations} {info.value_evaluations} {B} {d}"
 
 
 def _expected():
