@@ -62,6 +62,18 @@ def chebyshev_center(normals, offsets):
     return res.x[:n], float(res.x[-1])
 
 
+def json_fields(data, what: str, *names):
+    """The entries ``names`` of the JSON object ``data``, read from a file
+    describing ``what``; ValueError when ``data`` is not a JSON object or
+    lacks one of them."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    for name in names:
+        if name not in data:
+            raise ValueError(f"{what} has no key {name!r}")
+    return [data[name] for name in names]
+
+
 def _check_bounded(normals):
     """Boundedness of {Ax <= b} with b > 0 and unit rows of A.
 
@@ -96,6 +108,11 @@ class HPolytope:
             raise ValueError("normals and offsets shapes do not match")
         if A.shape[1] < 2:
             raise ValueError("dimension must be >= 2")
+        finite = np.isfinite(A).all(axis=1) & np.isfinite(b)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(f"facet row {row} is not finite: normal "
+                             f"{A[row].tolist()}, offset {b[row]}")
         norms = np.linalg.norm(A, axis=1)
         if np.any(norms < 1e-300):
             raise ValueError("zero normal vector")
@@ -457,6 +474,7 @@ def polytope_to_dict(body) -> dict:
 
 
 def polytope_from_dict(data: dict):
+    json_fields(data, "polytope")
     kind = data.get("kind")
     n = int(data.get("dim", 0))
     rows = np.asarray(data.get("rows", []), dtype=float)

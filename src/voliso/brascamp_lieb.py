@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bodies import json_fields
 from .measures import Estimate, McParams
 from .sampling import StudentTProposal, RunningMean, batches, matmul_rows
 
@@ -85,7 +86,7 @@ class BLSystem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BLSystem":
-        return cls(data["vectors"], data["weights"])
+        return cls(*json_fields(data, "system", "vectors", "weights"))
 
 
 def random_system(dim: int, size: int, rng) -> BLSystem:
@@ -176,9 +177,11 @@ class Density1D:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Density1D":
-        _, names = _tag(data["tag"])
-        return getattr(cls, data["tag"])(
-            **{name: data[name] for name in names if name in data})
+        tag, = json_fields(data, "density", "tag")
+        _, names = _tag(tag)
+        # every descriptor is required but a gaussian's sigma, which defaults to 1
+        json_fields(data, f"{tag} density", *(name for name in names if name != "sigma"))
+        return getattr(cls, tag)(**{name: data[name] for name in names if name in data})
 
 
 def _log_table(t, grid, values):
@@ -198,7 +201,7 @@ _TAGS = {
 
 
 def _tag(tag: str):
-    if tag not in _TAGS:
+    if not isinstance(tag, str) or tag not in _TAGS:
         raise ValueError(f"unknown density tag {tag!r}")
     return _TAGS[tag]
 

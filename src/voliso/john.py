@@ -12,7 +12,7 @@ B^-1 by fixed gathers.
 
 The solve starts from the ball of radius 0.9 min(b) about the origin, which
 every HPolytope holds, so it needs no LP.  It centres that point loosely
-(lambda^2 / 2 <= 1e-2) by damped Newton steps on the log-barrier
+(lambda^2 / 2 <= 1e-2) by Newton steps on the log-barrier
 Phi_t = t f0 - sum_i log g_i at the weight t0 >= 1 that makes it most
 central: t0 minimises |t grad f0 + grad phi| in the norm of H_phi^-1, with
 phi the log-barrier, from one gradient, Hessian and solve at t = 0 (Boyd &
@@ -30,14 +30,15 @@ matrix K = hess f0 - sum lam_i M_i + sum (lam_i / g_i) W_i W_i^T, factored
 once by Cholesky for both directions.  Each g_i is exactly quadratic along
 a step, so the corrector's target carries the second-order terms of
 lam_i g_i, and every step goes 0.99 of the exact way to the boundary of
-g > 0 and lam > 0 with no line search.  B is factored by Cholesky at each
-new point, which tests that it is positive definite; a step that fails
-the test is halved.
+g > 0 and lam > 0.  Neither loop compares barrier values: a step, whole in
+the centring, is halved only until B is positive definite and every slack
+positive, and SolverError is raised once it falls below 1e-13.
 
 The stop is certified: once the duality gap sum lam_i g_i is at most
-1e-12, the KKT residual of the iterate must be small too.  The iteration
-goes on while it is above 1e-8 (down to a gap of 1e-13), and a result whose
-residual is above 1e-6 raises SolverError instead of being returned.  The
+1e-12, the KKT residual of the iterate's own multipliers must be small
+too (see _kkt_certificate).  The iteration goes on while it is above 1e-8
+(down to a gap of 1e-13), and a result whose residual is above 1e-6
+raises SolverError instead of being returned.  The
 iterates are scale-equivariant but these tolerances are absolute, so the
 solve runs on the body scaled by a power of two to largest offset in
 [0.5, 1): a body gets the same stop in any units.
@@ -89,7 +90,8 @@ class _SymIndex:
     with D the duplication matrix, is ``-fold * B^-1[lower]``, and entry
     (p, r) of its Hessian D^T (B^-1 kron B^-1) D, for p = (j, k) and
     r = (l, m), is w_pr (B^-1_jl B^-1_km + B^-1_jm B^-1_kl), with the four
-    factors at ``kron_index`` and w_pr in ``kron_weight``.
+    factors at ``kron_index`` and w_pr in ``kron_weight``.  ``frobenius``
+    (sqrt(2) off the diagonal) weights packed entries to the Frobenius norm.
     """
 
     def __init__(self, n: int):
@@ -107,6 +109,7 @@ class _SymIndex:
         self.curvature = (basis[:, None] @ basis[None, :]).reshape(q * q, n * n)
         self.lower = rows * n + cols
         self.fold = np.where(self.diag, 1.0, 2.0)
+        self.frobenius = np.sqrt(self.fold)
         j, k, l, m = rows[:, None], cols[:, None], rows, cols
         self.kron_index = np.stack([j * n + l, k * n + m, j * n + m, k * n + l])
         self.kron_weight = 0.5 * np.multiply.outer(self.fold, self.fold)
@@ -134,18 +137,16 @@ class SolveInfo:
     ``newton_iterations`` counts the Newton systems factored: the one that
     sets the start weight, those of the centring and one per primal-dual
     iteration after the first, which reuses the centring's last.
-    ``value_evaluations`` counts the barrier values the centring compares:
-    the start point's and its line-search trials'.  ``duality_gap`` is
-    sum lam_i g_i at the returned ellipsoid and ``kkt_residual`` its
-    certificate, both of the body scaled to largest offset in [0.5, 1), as
-    the stop judged them, so they do not depend on the body's units.  A
-    failed solve raises SolverError.
+    ``duality_gap`` is sum lam_i g_i at the returned ellipsoid and
+    ``kkt_residual`` its certificate (see _kkt_certificate), both of the
+    body scaled to largest offset in [0.5, 1), as the stop judged them, so
+    they do not depend on the body's units.  A failed solve raises
+    SolverError.
     """
 
     newton_iterations: int
     duality_gap: float
     kkt_residual: float
-    value_evaluations: int = 0
 
 
 def _barrier_tensors(sym, A, b):
@@ -168,27 +169,39 @@ def _barrier_tensors(sym, A, b):
     return M, c
 
 
-def _barrier_value(sym, A, b, theta, t):
-    """Phi_t, log det B, the Cholesky factor of B, the g_i and theta;
-    None when theta is infeasible."""
+def _interior_point(sym, A, b, theta):
+    """The Cholesky factor of B, the g_i and theta; None when theta is not
+    interior."""
     B = sym.to_matrix(theta[: sym.q])
     d = theta[sym.q:]
     L, info = lapack.dpotrf(B, lower=1)         # B = L L^T
     if info:                                     # B is not positive definite
         return None
-    logdet = 2.0 * float(np.log(L.diagonal()).sum())
     s = b - A @ d
     V = A @ B
     vnorm = np.sqrt(np.add.reduce(V * V, 1))     # np.linalg.norm's body, bit for bit
     slack = s - vnorm
     if not slack.min() > 0:                      # slack <= s, so s > 0 too
         return None
-    g = slack * (s + vnorm)
-    return -t * logdet - float(np.log(g).sum()), logdet, L, g, theta
+    return L, slack * (s + vnorm), theta
+
+
+def _step(sym, A, b, theta, step, alpha):
+    """The point theta + alpha step, alpha halved until it is interior, as
+    _interior_point returns it; SolverError if the step is not finite or
+    alpha falls below 1e-13 first."""
+    if not np.isfinite(step).all():
+        raise SolverError("Newton step is not finite")
+    while alpha > 1e-13:
+        point = _interior_point(sym, A, b, theta + alpha * step)
+        if point is not None:
+            return point
+        alpha *= 0.5        # B lost definiteness or a slack its sign
+    raise SolverError("no interior point along the Newton step")
 
 
 def _newton_system(sym, tensors, point, lam, weight):
-    """Gradients and Newton matrix at a feasible point as _barrier_value
+    """Gradients and Newton matrix at an interior point as _interior_point
     returns it, from the body's _barrier_tensors (M, c).
 
     With W_i = M_i theta + c_i the gradient of g_i, returns the rows
@@ -202,7 +215,7 @@ def _newton_system(sym, tensors, point, lam, weight):
     """
     M, c = tensors
     q = sym.q
-    _, _, L, g, theta = point
+    L, g, theta = point
     m, size = c.shape
     Binv = lapack.dpotrs(L, sym.eye, lower=1)[0].reshape(-1)
     W = (M.reshape(m * size, size) @ theta).reshape(m, size) + c
@@ -217,35 +230,24 @@ def _newton_system(sym, tensors, point, lam, weight):
     return rows, W, K
 
 
-def _kkt_certificate(A, b, B, d, eps_contact):
-    """Best nonnegative multipliers for stationarity; returns the residual.
+def _kkt_certificate(sym, A, b, point, lam, gap):
+    """The larger of the gap and the residual of stationarity of log det,
+    B^-1 = sum mu_i sym(v_i a_i^T) / |v_i| and sum mu_i a_i = 0, in the
+    Frobenius norm, with v_i = B a_i and the iterate's multipliers.
 
-    Stationarity of log det at the optimum reads B^{-1} = sum lam_i
-    sym(v_i a_i^T)/|v_i| together with sum lam_i a_i = 0; multipliers are
-    fitted by nonnegative least squares on the near-active facets.
+    With s_i = b_i - <a_i, d>, g_i = (s_i - |v_i|)(s_i + |v_i|), so lam_i W_i
+    is mu_i = lam_i (s_i + |v_i|) times the gradient of the cone constraint
+    s_i - |v_i| >= 0, up to a term that the gap bounds.
     """
-    sym = _sym_index(A.shape[1])
-    s = b - A @ d
+    L, _, theta = point
+    B, d = sym.to_matrix(theta[: sym.q]), theta[sym.q:]
     V = A @ B
-    vnorm = np.linalg.norm(V, axis=1)
-    slack = s - vnorm
-    active = slack <= eps_contact
-    violation = max(0.0, float(-slack.min()))
-    if not np.any(active):
-        return math.inf, violation
-    Aact = A[active]
-    Vact = V[active] / vnorm[active][:, None]
-    # Frobenius-consistent packed rows: off-diagonal entries weighted sqrt(2)
-    weights = np.where(sym.diag, 1.0, math.sqrt(2.0))
-    M = sym.sym_entries(Vact, Aact) * weights
-    Binv = np.linalg.inv(B)
-    target = Binv[sym.rows, sym.cols] * weights
-    system = np.hstack([M, Aact]).T               # (q + n, k) columns per facet
-    rhs = np.concatenate([target, np.zeros(A.shape[1])])
-    lam, _ = nnls(system, rhs)
-    resid = float(np.linalg.norm(system @ lam - rhs))
-    comp = float(np.abs(lam * slack[active]).sum())
-    return max(resid, comp, violation), violation
+    vnorm = np.sqrt(np.add.reduce(V * V, 1))
+    mu = lam * (b - A @ d + vnorm)
+    Binv = lapack.dpotrs(L, sym.eye, lower=1)[0].reshape(-1)
+    shape = ((mu / vnorm) @ sym.sym_entries(V, A) - Binv[sym.lower]) * sym.frobenius
+    return max(math.hypot(float(np.linalg.norm(shape)), float(np.linalg.norm(mu @ A))),
+               gap)
 
 
 def _factor(K):
@@ -289,19 +291,20 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     Returns the unique maximizer of det B over symmetric positive-definite
     B and center d with |B a_i| + <a_i, d> <= b_i for every facet.  With
     ``full_output=True`` also returns a SolveInfo carrying the KKT residual,
-    duality gap and the counts of Newton systems and barrier values.
+    duality gap and the count of Newton systems.
 
     The solve needs no LP: the origin is interior at depth min(b), so it
     starts from (B, d) = (0.9 min(b) I, 0), at the barrier weight t0 >= 1
-    that makes that point most central, centres there loosely by damped
-    Newton steps and sets the multipliers lam_i = 1 / (t0 g_i).  From there
+    that makes that point most central, centres there loosely by Newton
+    steps and sets the multipliers lam_i = 1 / (t0 g_i).  From there
     Mehrotra predictor-corrector steps on the primal-dual system, each 0.99
     of the exact step to the boundary, drive the duality gap sum lam_i g_i
     down (see the module docstring).
 
     Raises SolverError, and returns no ellipsoid, when the duality gap
     does not close within the Newton iteration cap, when a Newton system
-    is singular or indefinite even after regularisation, or when the KKT
+    is singular or indefinite even after regularisation, when a step finds
+    no interior point (see the module docstring), or when the KKT
     residual of the result is above 1e-6.  Tolerances apply to the body
     scaled by a power of two to largest offset in [0.5, 1), so they do not
     depend on its units.
@@ -313,7 +316,6 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     # exact scaling by a power of two to max(b) in [0.5, 1)
     scale = 2.0 ** math.frexp(float(P.offsets.max()))[1]
     b = P.offsets / scale
-    eps_contact = _CONTACT_TOL * float(b.max())
 
     theta = np.zeros(q + n)
     theta[:q][sym.diag] = 0.9 * float(b.min())
@@ -322,37 +324,25 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     # 11.3.1), and never below t = 1
     tensors = _barrier_tensors(sym, A, b)
     stacked = tensors[0].reshape(m * (q + n), q + n)
-    point = _barrier_value(sym, A, b, theta, 0.0)
-    rows, _, H = _newton_system(sym, tensors, point, 1.0 / point[3], 0.0)
+    point = _interior_point(sym, A, b, theta)
+    rows, _, H = _newton_system(sym, tensors, point, 1.0 / point[1], 0.0)
     step, tangent = lapack.dpotrs(_factor(H), rows[::-1].T, lower=1)[0].T
     t = max(1.0, float(rows[0] @ step) / float(rows[0] @ tangent))
-    point = (point[0] - t * point[1],) + point[1:]
-    systems = evaluations = 1
+    systems = 1
 
-    # centre at t with damped Newton steps on Phi_t, in the scaling of
-    # Phi_t / t: the step is -K^-1 r and lambda^2 = t r K^-1 r
+    # centre at t with Newton steps on Phi_t, in the scaling of Phi_t / t:
+    # the step is -K^-1 r and lambda^2 = t r K^-1 r
     while True:
-        value, g = point[0], point[3]
+        _, g, theta = point
         lam = 1.0 / (t * g)
         rows, W, K = _newton_system(sym, tensors, point, lam, 1.0)
         F = _factor(K)
         systems += 1
         residual = rows[0] - rows[1]
         step = -lapack.dpotrs(F, residual, lower=1)[0]
-        slope = t * float(residual @ step)              # -lambda^2
-        if -slope / 2.0 <= _CENTRE_TOL or systems >= _MAX_NEWTON:
+        if -t * float(residual @ step) / 2.0 <= _CENTRE_TOL or systems >= _MAX_NEWTON:
             break
-        alpha = 1.0
-        while alpha > 1e-13:
-            cand = _barrier_value(sym, A, b, theta + alpha * step, t)
-            evaluations += 1
-            if cand is not None and cand[0] <= value + 0.25 * alpha * slope:
-                break
-            alpha *= 0.5
-        if alpha <= 1e-13 or value - cand[0] <= 1e-13 * (1.0 + abs(value)):
-            break   # numerical noise floor: go on from the centred point
-        point = cand
-        theta = point[4]
+        point = _step(sym, A, b, theta, step, 1.0)
 
     # Mehrotra predictor-corrector on grad f0 = sum lam_i W_i and
     # lam_i g_i = sigma mu; with the multiplier step eliminated, its system
@@ -374,17 +364,11 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
         dlam = target - lam - (lam / g) * w
         alpha, dual, _ = _step_lengths(stacked, g, dtheta, w, lam, dlam,
                                        _STEP_FRACTION)
-        while True:
-            point = _barrier_value(sym, A, b, theta + alpha * dtheta, 0.0)
-            if point is not None:
-                break
-            alpha *= 0.5        # B lost definiteness or rounding hit the boundary
-        theta, g = point[4], point[3]
+        _, g, theta = point = _step(sym, A, b, theta, dtheta, alpha)
         lam = lam + dual * dlam
         gap = float(lam @ g)
         if gap <= _GAP_TOL or systems >= _MAX_NEWTON:
-            B, d = sym.to_matrix(theta[:q]), theta[q:]
-            kkt, violation = _kkt_certificate(A, b, B, d, eps_contact)
+            kkt = _kkt_certificate(sym, A, b, point, lam, gap)
             # past the gap tolerance the iteration goes on while the
             # certificate is above _KKT_TARGET, down to a gap of _GAP_FLOOR
             if kkt <= _KKT_TARGET or gap <= _GAP_FLOOR or systems >= _MAX_NEWTON:
@@ -393,15 +377,14 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
         F = _factor(K)
         systems += 1
 
-    if gap > 1e-8 or violation > 1e-9 or not kkt <= _KKT_TOL:
+    if gap > 1e-8 or not kkt <= _KKT_TOL:
         raise SolverError(
             f"no certified optimum after {systems} Newton systems: "
-            f"duality gap {gap:.3e}, KKT residual {kkt:.3e}, "
-            f"violation {violation:.3e}")
-    ellipsoid = Ellipsoid(scale * B, scale * d)
+            f"duality gap {gap:.3e}, KKT residual {kkt:.3e}")
+    ellipsoid = Ellipsoid(scale * sym.to_matrix(theta[:q]), scale * theta[q:])
     if full_output:
         info = SolveInfo(newton_iterations=systems, duality_gap=gap,
-                         kkt_residual=kkt, value_evaluations=evaluations)
+                         kkt_residual=kkt)
         return ellipsoid, info
     return ellipsoid
 
@@ -450,9 +433,8 @@ def john_decomposition(contacts, symmetric: bool) -> BLSystem:
     sym = _sym_index(n)
     # row per entry of sum c_i u_i u_i^T = I, off-diagonals weighted sqrt(2)
     # so the least-squares residual is exactly the Frobenius residual
-    weights_row = np.where(sym.diag, 1.0, math.sqrt(2.0))
-    rows = [(sym.sym_entries(U, U) * weights_row).T]
-    rhs = [np.where(sym.diag, 1.0, 0.0) * weights_row]
+    rows = [(sym.sym_entries(U, U) * sym.frobenius).T]
+    rhs = [np.where(sym.diag, 1.0, 0.0) * sym.frobenius]
     if not symmetric:
         rows.append(U.T)
         rhs.append(np.zeros(n))

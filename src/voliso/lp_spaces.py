@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bodies import unit_ball_volume
+from .bodies import json_fields, unit_ball_volume
 from .brascamp_lieb import BLSystem
 from .errors import GaugeError, SolverError
 from .measures import Estimate, McParams
@@ -229,10 +229,11 @@ class SubspaceSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SubspaceSpec":
-        M = np.asarray(data["basis"], dtype=float)
-        if M.shape != (data["m"], data["n"]):
+        basis, m, n, p = json_fields(data, "subspace", "basis", "m", "n", "p")
+        M = np.asarray(basis, dtype=float)
+        if M.shape != (m, n):
             raise ValueError("basis shape does not match m, n")
-        return cls(M, data["p"])
+        return cls(M, p)
 
 
 @dataclass(frozen=True, eq=False)

@@ -77,9 +77,13 @@ def projection_area(V: VPolytope, theta, mc: McParams | None = None) -> float:
 
     Exact for n = 2..6 and always a float (for n = 2 it is the width of V
     along the line orthogonal to theta).  ``mc`` is accepted and ignored.
+    Raises ValueError unless theta is a finite nonzero vector of length n.
     """
-    theta = np.asarray(theta, dtype=float)[None]
-    return float(_shadows(V, theta / np.linalg.norm(theta))[0])
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (V.dim,) or not np.isfinite(theta).all() or not theta.any():
+        raise ValueError(f"direction must be a finite nonzero vector of length "
+                         f"{V.dim}, not {theta.tolist()}")
+    return float(_shadows(V, theta[None] / np.linalg.norm(theta))[0])
 
 
 def _shadows(V: VPolytope, thetas: np.ndarray) -> np.ndarray:

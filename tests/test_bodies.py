@@ -280,6 +280,18 @@ class TestFileFormat:
         W = polytope_from_dict(polytope_to_dict(V))
         assert np.array_equal(W.vertices, V.vertices)
 
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="polytope must be a JSON object"):
+            polytope_from_dict([[1.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("row, value", [(0, np.nan), (2, np.inf), (3, -np.inf)])
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_non_finite_row_rejected(self, row, value, column):
+        rows = np.hstack([cube(2).normals, cube(2).offsets[:, None]])
+        rows[row, column] = value
+        with pytest.raises(ValueError, match=f"facet row {row} is not finite"):
+            HPolytope(rows[:, :2], rows[:, 2], validate=False)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             polytope_from_dict({"dim": 2, "kind": "X", "rows": []})

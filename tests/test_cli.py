@@ -86,6 +86,17 @@ class TestJohnCommand:
         code, _, err = run(capsys, ["john", "--input", "/nonexistent.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("offset", ["NaN", "Infinity"])
+    def test_non_finite_row_exits_2(self, capsys, tmp_path, offset):
+        # Python's json reads NaN and Infinity; the row must be named, not
+        # crash the solve (NaN) or spin in it (Infinity)
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 2, "kind": "H", "rows": [[1, 0, 1], [0, 1, %s], '
+                        '[-1, 0, 1], [0, -1, 1]]}' % offset)
+        code, out, err = run(capsys, ["john", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: facet row 1 is not finite")
+
     def test_vfile_simplex_gives_steiner_inellipsoid(self, capsys):
         # John's ellipsoid of a simplex is its Steiner inellipsoid: centre
         # the vertex centroid c, B^2 = sum (v_i - c)(v_i - c)^T / (n(n+1));
@@ -203,6 +214,15 @@ class TestLpCommand:
                                     "--samples", "100000"])
         assert code == 0
 
+    @pytest.mark.parametrize("data, message", [
+        ({"m": 2, "n": 2, "p": 1.0}, "subspace has no key 'basis'"),
+        ([[1, 0], [0, 1]], "subspace must be a JSON object, not list")])
+    def test_malformed_file_exits_2(self, capsys, tmp_path, data, message):
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["lp", "--input", str(path)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_one_lewis_solve_per_call(self, capsys, monkeypatch, tmp_path):
         import voliso.cli as cli
         import voliso.lp_spaces as lp_spaces
@@ -247,6 +267,24 @@ class TestBlCommand:
         code, _, err = run(capsys, ["bl", "--input", square_system_file,
                                     "--densities", "/does/not/exist.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("densities, message", [
+        ('[{"tag": "indicator"}]', "indicator density has no key 'a'"),
+        ('[[1.0]]', "density must be a JSON object, not list")])
+    def test_malformed_densities_exit_2(self, capsys, square_system_file,
+                                        densities, message):
+        code, out, err = run(capsys, ["bl", "--input", square_system_file,
+                                      "--densities", densities])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("data, message", [
+        ({"dim": 2, "vectors": [[1, 0], [0, 1]]}, "system has no key 'weights'"),
+        ([1, 2], "system must be a JSON object, not list")])
+    def test_malformed_system_exits_2(self, capsys, tmp_path, data, message):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["bl", "--input", str(path)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestPettyCommand:

@@ -66,7 +66,7 @@ class TestMaxInscribedEllipsoid:
         build = john._newton_system
 
         def spy(sym, tensors, point, lam, weight):
-            seen.append((point[3].copy(), np.copy(lam)))
+            seen.append((point[1].copy(), np.copy(lam)))
             return build(sym, tensors, point, lam, weight)
 
         monkeypatch.setattr(john, "_newton_system", spy)
@@ -105,25 +105,26 @@ class TestBarrierDerivatives:
             B = 0.4 * b.min() * (np.eye(n) + 0.1 * (M + M.T))
             d = 0.1 * b.min() * rng.standard_normal(n) / math.sqrt(n)
             theta = np.concatenate([B[sym.rows, sym.cols], d])
-            point = john._barrier_value(sym, A, b, theta, t)
-            assert point is not None
+            assert john._interior_point(sym, A, b, theta) is not None
 
             def barrier(x):
-                # with lam_i = 1 / g_i the system is the barrier's gradient
-                # t rows[0] - rows[1] and Hessian K
-                at = john._barrier_value(sym, A, b, x, t)
-                (grad0, dual), W, K = john._newton_system(sym, tensors, at,
-                                                          1.0 / at[3], t)
-                return at, t * grad0 - dual, W, K
+                # Phi_t = -t log det B - sum log g_i from the point's Cholesky
+                # factor and g; with lam_i = 1 / g_i the system is its
+                # gradient t rows[0] - rows[1] and Hessian K
+                at = john._interior_point(sym, A, b, x)
+                L, g, _ = at
+                value = -2.0 * t * np.log(L.diagonal()).sum() - np.log(g).sum()
+                (grad0, dual), W, K = john._newton_system(sym, tensors, at, 1.0 / g, t)
+                return value, g, t * grad0 - dual, W, K
 
-            _, grad, W, H = barrier(theta)
+            _, _, grad, W, H = barrier(theta)
             h = 1e-6 * b.min()
             pairs = [(barrier(theta + e), barrier(theta - e))
                      for e in np.eye(theta.size) * h]
-            fd_grad = np.array([(up[0][0] - down[0][0]) / (2 * h) for up, down in pairs])
-            fd_hess = np.array([(up[1] - down[1]) / (2 * h) for up, down in pairs])
+            fd_grad = np.array([(up[0] - down[0]) / (2 * h) for up, down in pairs])
+            fd_hess = np.array([(up[2] - down[2]) / (2 * h) for up, down in pairs])
             # W holds the gradients of the g_i
-            fd_W = np.array([(up[0][3] - down[0][3]) / (2 * h) for up, down in pairs]).T
+            fd_W = np.array([(up[1] - down[1]) / (2 * h) for up, down in pairs]).T
             np.testing.assert_allclose(grad, fd_grad, rtol=1e-6,
                                        atol=1e-6 * np.abs(grad).max())
             np.testing.assert_allclose(H, fd_hess, rtol=1e-6,
@@ -146,7 +147,7 @@ class TestBarrierDerivatives:
             d = 0.1 * b.min() * rng.standard_normal(n) / math.sqrt(n)
             lam = rng.uniform(0.1, 10.0, P.num_facets)
             theta = np.concatenate([B[sym.rows, sym.cols], d])
-            point = john._barrier_value(sym, A, b, theta, 0.0)
+            point = john._interior_point(sym, A, b, theta)
             (grad0, dual), W, K = john._newton_system(sym, tensors, point, lam, weight)
             (ref0, ref_dual), ref_W, ref_K = _direct_newton_system(A, b, B, d, lam,
                                                                    weight)
@@ -209,8 +210,7 @@ class TestCertifiedStop:
             max_inscribed_ellipsoid(random_polytope(3, 5))
 
     def test_uncertified_result_raises(self, monkeypatch):
-        monkeypatch.setattr(john, "_kkt_certificate",
-                            lambda *args: (1e-3, 0.0))
+        monkeypatch.setattr(john, "_kkt_certificate", lambda *args: 1e-3)
         with pytest.raises(SolverError, match="KKT residual 1.000e-03"):
             max_inscribed_ellipsoid(cube(2))
 
@@ -219,11 +219,44 @@ class TestCertifiedStop:
             john._factor(-np.eye(3))
 
     @pytest.mark.parametrize("make", [cube, regular_simplex], ids=["cube", "simplex"])
-    def test_central_start_takes_no_centring_step(self, make):
+    def test_central_start_takes_no_centring_step(self, make, monkeypatch):
         # the start ball of a cube or a regular simplex is central at the
-        # start weight: the centring evaluates the start point and stops
-        _, info = max_inscribed_ellipsoid(make(3), full_output=True)
-        assert info.value_evaluations == 1
+        # start weight: after the start weight's system (weight 0) the
+        # centring builds one system and stops without a step
+        events = _centring_events(make(3), monkeypatch)
+        assert events == [("_newton_system", 0.0), ("_newton_system", 1.0)]
+
+    def test_centring_takes_whole_steps(self, monkeypatch):
+        # off the central path the centring alternates systems and steps,
+        # each step starting whole, and ends on a system
+        events = _centring_events(random_polytope(3, 5), monkeypatch)
+        assert events[0] == ("_newton_system", 0.0)
+        assert events[1::2] == [("_newton_system", 1.0)] * (len(events) // 2)
+        assert events[2::2] == [("_step", 1.0)] * (len(events) // 2 - 1)
+        assert len(events) >= 5
+
+    def test_step_without_interior_point_raises(self, monkeypatch):
+        # a step that finds no interior point must raise once its length
+        # falls below 1e-13, not halve it for ever
+        interior = john._interior_point
+        calls = []
+
+        def only_the_start(*args):
+            calls.append(None)
+            return interior(*args) if len(calls) == 1 else None
+
+        monkeypatch.setattr(john, "_interior_point", only_the_start)
+        with pytest.raises(SolverError, match="no interior point"):
+            max_inscribed_ellipsoid(random_polytope(3, 5))
+        assert len(calls) == 1 + 44     # the start, then lengths 2^0 .. 2^-43
+
+    def test_non_finite_step_raises(self):
+        P = cube(2)
+        sym = john._sym_index(2)
+        theta = np.array([0.5, 0.0, 0.5, 0.0, 0.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(SolverError, match="not finite"):
+                john._step(sym, P.normals, P.offsets, theta, np.full(5, bad), 1.0)
 
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("make", [cube, regular_simplex], ids=["cube", "simplex"])
@@ -263,6 +296,29 @@ class TestCertifiedStop:
         tight = distance(solve(_CENTRE_TOL=1e-13), reference)
         assert loose <= tight + 1e-10
         assert loose <= 1.2e-8
+
+
+def _centring_events(P, monkeypatch):
+    """The Newton systems, with their weight, and the steps, with their
+    first length, of the solve of P before the primal-dual loop's first
+    _step_lengths."""
+    events = []
+
+    def spy(name, argument):
+        wrapped = getattr(john, name)
+
+        def record(*args):
+            events.append((name, args[argument]))
+            return wrapped(*args)
+
+        monkeypatch.setattr(john, name, record)
+
+    spy("_newton_system", 4)
+    spy("_step", 5)
+    spy("_step_lengths", 6)
+    max_inscribed_ellipsoid(P)
+    first = next(i for i, event in enumerate(events) if event[0] == "_step_lengths")
+    return events[:first]
 
 
 @functools.cache

@@ -132,6 +132,13 @@ class TestProjections:
         assert isinstance(shadow, float)
         assert shadow == pytest.approx(2.0 ** (n - 1) * np.abs(theta).sum(), rel=1e-12)
 
+    @pytest.mark.parametrize("theta", [[0.0, 0.0, 0.0], [1.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                                       [np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0],
+                                       [[0.0, 0.0, 1.0]]])
+    def test_bad_direction_rejected(self, theta):
+        with pytest.raises(ValueError, match="finite nonzero vector of length 3"):
+            projection_area(cube_vertices(3), theta)
+
     def test_mc_argument_ignored(self):
         theta = [0, 0, 0, 1.0]
         assert projection_area(cube_vertices(4), theta, McParams(4000, seed=5)) == \
