@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,27 @@ def json_fields(data, what: str, *names):
         if name not in data:
             raise ValueError(f"{what} has no key {name!r}")
     return [data[name] for name in names]
+
+
+def json_numbers(value, what: str) -> np.ndarray:
+    """``value``, read from a JSON file, as a float array; ValueError unless
+    it is a number or a rectangular nest of lists of numbers.  Strings,
+    objects, nulls and all-boolean arrays are refused."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:                 # a ragged nest of lists
+        raise ValueError(f"{what} must be a rectangular array of numbers") from exc
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must hold only numbers")
+    return array.astype(float)
+
+
+def json_number(value, what: str) -> float:
+    """``value``, read from a JSON file, as a float; ValueError unless it is
+    a number (a boolean is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, not {type(value).__name__}")
+    return float(value)
 
 
 def _check_bounded(normals):
@@ -476,8 +498,11 @@ def polytope_to_dict(body) -> dict:
 def polytope_from_dict(data: dict):
     json_fields(data, "polytope")
     kind = data.get("kind")
-    n = int(data.get("dim", 0))
-    rows = np.asarray(data.get("rows", []), dtype=float)
+    n = json_number(data.get("dim", 0), "polytope dim")
+    if not n.is_integer():
+        raise ValueError(f"polytope dim must be a whole number, not {n}")
+    n = int(n)
+    rows = json_numbers(data.get("rows", []), "polytope rows")
     if kind == "H":
         if rows.ndim != 2 or rows.shape[1] != n + 1:
             raise ValueError("H rows must be [a_1..a_n, b]")

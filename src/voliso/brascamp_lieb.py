@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import json_fields
+from .bodies import json_fields, json_number, json_numbers
 from .measures import Estimate, McParams
-from .sampling import StudentTProposal, RunningMean, batches, matmul_rows
+from .sampling import StudentTProposal, RunningMean, map_batches, row_blocks
 
 # largest |sum c_i u_i| that lift_to_cone accepts as centered
 _BARYCENTER_TOL = 1e-8
@@ -86,7 +86,9 @@ class BLSystem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BLSystem":
-        return cls(*json_fields(data, "system", "vectors", "weights"))
+        vectors, weights = json_fields(data, "system", "vectors", "weights")
+        return cls(json_numbers(vectors, "system vectors"),
+                   json_numbers(weights, "system weights"))
 
 
 def random_system(dim: int, size: int, rng) -> BLSystem:
@@ -167,21 +169,33 @@ class Density1D:
 
     def log_density(self, t: np.ndarray) -> np.ndarray:
         """log f(t) elementwise, -inf where f vanishes."""
-        log_f, _ = _tag(self.tag)
-        return log_f(np.asarray(t, dtype=float), *self.params)
+        t = np.asarray(t, dtype=float)
+        form = self.log_quadratic()
+        if form is None:
+            return _log_table(t, *self.params)
+        alpha, beta, lo, hi = form
+        return np.where((t >= lo) & (t <= hi), (alpha * t + beta) * t, -np.inf)
+
+    def log_quadratic(self):
+        """(alpha, beta, lo, hi) with log f(t) = alpha t^2 + beta t on the
+        support [lo, hi] and f = 0 off it; None for a table."""
+        _, form = _tag(self.tag)
+        return None if form is None else form(*self.params)
 
     def to_dict(self) -> dict:
-        _, names = _tag(self.tag)
+        names, _ = _tag(self.tag)
         return {"tag": self.tag, **{name: np.asarray(value).tolist()
                                     for name, value in zip(names, self.params)}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Density1D":
         tag, = json_fields(data, "density", "tag")
-        _, names = _tag(tag)
+        names, _ = _tag(tag)
         # every descriptor is required but a gaussian's sigma, which defaults to 1
         json_fields(data, f"{tag} density", *(name for name in names if name != "sigma"))
-        return getattr(cls, tag)(**{name: data[name] for name in names if name in data})
+        read = json_numbers if tag == "table" else json_number
+        return getattr(cls, tag)(**{name: read(data[name], f"{tag} density {name}")
+                                    for name in names if name in data})
 
 
 def _log_table(t, grid, values):
@@ -189,14 +203,15 @@ def _log_table(t, grid, values):
         return np.log(np.interp(t, grid, values, left=0.0, right=0.0))
 
 
-# tag -> (log f(t, *params), descriptor names of the params); the
-# Density1D constructor named after the tag takes those names
+# tag -> (descriptor names of the params, params -> (alpha, beta, lo, hi) of
+# Density1D.log_quadratic, or None for a table); the Density1D constructor
+# named after the tag takes those names
 _TAGS = {
-    "exponential": (lambda t: np.where(t >= 0.0, -t, -np.inf), ()),
-    "gaussian": (lambda t, sigma: -0.5 * (t / sigma) ** 2, ("sigma",)),
-    "indicator": (lambda t, a, b: np.where((t >= a) & (t <= b), 0.0, -np.inf),
-                  ("a", "b")),
-    "table": (_log_table, ("grid", "values")),
+    "exponential": ((), lambda: (0.0, -1.0, 0.0, math.inf)),
+    "gaussian": (("sigma",),
+                 lambda sigma: (-0.5 / sigma ** 2, 0.0, -math.inf, math.inf)),
+    "indicator": (("a", "b"), lambda a, b: (0.0, 0.0, a, b)),
+    "table": (("grid", "values"), None),
 }
 
 
@@ -216,28 +231,59 @@ def bl_ratio(system: BLSystem, densities, mc: McParams) -> Estimate:
     The left side is importance-sampled with a product Student-t proposal
     (heavy tails keep the weight variance finite for every tagged density
     family, exponential ones included); the right side uses the densities'
-    exact integrals.  For a valid system the estimate never exceeds
+    exact integrals.  The batches run on the thread pool of
+    ``sampling.map_batches``: batch 0 on ``np.random.default_rng(mc.seed)``,
+    batch k >= 1 on a stream spawned from ``mc.seed``.  A block of rows
+    X is evaluated as one fused integrand over D = U X^T, one row per
+    density: the log numerator is the sum of ((c alpha) t + c beta) t over
+    the densities' quadratic log forms (``Density1D.log_quadratic``) plus
+    c log f(t) of every table, and rows outside some density's support
+    weigh 0.  For a valid system the estimate never exceeds
     1 + 3 std_error up to Monte Carlo noise.
     """
     densities = list(densities)
     if len(densities) != system.size:
         raise ValueError("one density per vector required")
-    d = system.dim
-    c = system.weights
+    U, c = system.vectors, system.weights
     log_rhs = float(np.dot(c, [math.log(f.integral) for f in densities]))
-    proposal = StudentTProposal(dim=d)
-    rng = np.random.default_rng(mc.seed)
+    proposal = StudentTProposal(dim=system.dim)
+    forms = [f.log_quadratic() for f in densities]
+    terms = [(i, c[i] * form[0], c[i] * form[1]) for i, form in enumerate(forms)
+             if form is not None and (form[0] or form[1])]
+    tables = [(i, f) for i, (f, form) in enumerate(zip(densities, forms))
+              if form is None]
+    lower = [(i, form[2]) for i, form in enumerate(forms)
+             if form is not None and form[2] > -math.inf]
+    upper = [(i, form[3]) for i, form in enumerate(forms)
+             if form is not None and form[3] < math.inf]
+
+    def evaluate(X):
+        out = np.zeros(len(X))
+        for lo, hi in row_blocks(len(X)):
+            block = X[lo:hi]
+            D = U @ block.T                      # (m, rows)
+            log_h = np.zeros(hi - lo)
+            for i, ca, cb in terms:
+                term = ca * D[i]
+                term += cb
+                term *= D[i]
+                log_h += term
+            for i, f in tables:
+                # 0^c := 0 for c > 0: -inf * c stays -inf, exp gives 0
+                log_h += c[i] * f.log_density(D[i])
+            log_h -= log_rhs
+            log_h -= proposal.logpdf(block)
+            inside = np.ones(hi - lo, dtype=bool)
+            for i, bound in lower:
+                inside &= D[i] >= bound
+            for i, bound in upper:
+                inside &= D[i] <= bound
+            np.exp(log_h, out=out[lo:hi], where=inside)
+        return out
+
     acc = RunningMean()
-    with np.errstate(invalid="ignore"):
-        for X in batches(rng, proposal.sample, mc.sample_count):
-            dots = matmul_rows(X, system.vectors.T)           # (size, m)
-            log_f = np.empty_like(dots)
-            for i, f in enumerate(densities):
-                log_f[:, i] = f.log_density(dots[:, i])
-            # 0^c := 0 for c > 0: -inf * c stays -inf, exp gives 0
-            log_num = matmul_rows(log_f, c)
-            h = np.exp(log_num - log_rhs - proposal.logpdf(X))
-            acc.add(np.where(np.isfinite(h), h, 0.0))
+    for values in map_batches(mc.seed, proposal.sample, evaluate, mc.sample_count):
+        acc.add(values)
     return Estimate(acc.mean, acc.std_error, mc.sample_count)
 
 

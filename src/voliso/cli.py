@@ -226,6 +226,8 @@ def _parse_densities(arg: str | None, count: int) -> list:
                 data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise VolisoError(f"cannot parse densities: {exc}") from exc
+    if not isinstance(data, list):
+        raise ValueError(f"densities must be a JSON list, not {type(data).__name__}")
     return [Density1D.from_dict(item) for item in data]
 
 

@@ -21,12 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bodies import json_fields, unit_ball_volume
+from .bodies import json_fields, json_number, json_numbers, unit_ball_volume
 from .brascamp_lieb import BLSystem
 from .errors import GaugeError, SolverError
 from .measures import Estimate, McParams
-from .sampling import (StudentTProposal, RunningMean, batches, matmul_rows,
-                       sphere_points)
+from .sampling import (StudentTProposal, RunningMean, map_batches, matmul_rows,
+                       row_blocks, sphere_points)
 
 L1_VR_LIMIT = math.sqrt(2.0 * math.e / math.pi)
 
@@ -114,8 +114,11 @@ def gauge_integral_volume(gauge: WeightedLpGauge, mc: McParams) -> Estimate:
     """Unit-ball volume of ``gauge`` from the gauge integral.
 
     Estimates Gamma(1+n/p)^{-1} * integral e^{-gauge(x)^p} dx with a product
-    Student-t proposal scaled to the ball's radii.  Raises GaugeError when
-    sampled gauge values put the ball beyond ``gauge.bounding_radius()``.
+    Student-t proposal scaled to the ball's radii.  The probe directions
+    and batch 0 read ``np.random.default_rng(mc.seed)``; the batches of
+    ``sampling.map_batches`` run on its thread pool, batch k >= 1 on a
+    stream spawned from ``mc.seed``.  Raises GaugeError when sampled gauge
+    values put the ball beyond ``gauge.bounding_radius()``.
     """
     n, p, bound = gauge.dim, gauge.p, gauge.bounding_radius()
     rng = np.random.default_rng(mc.seed)
@@ -130,10 +133,19 @@ def gauge_integral_volume(gauge: WeightedLpGauge, mc: McParams) -> Estimate:
             f"bounding radius {bound:.3g} (non-coercive gauge?)")
     scale = float(np.median(radii)) * max(1.0, (n / p) ** (1.0 / p)) * 1.3
     proposal = StudentTProposal(dim=n, scale=scale)
+
+    def evaluate(X):
+        out = np.empty(len(X))
+        for lo, hi in row_blocks(len(X)):
+            block = X[lo:hi]
+            values = np.asarray(gauge(block), dtype=float)
+            out[lo:hi] = np.exp(-values ** p - proposal.logpdf(block))
+        return out
+
     acc = RunningMean()
-    for X in batches(rng, proposal.sample, mc.sample_count):
-        values = np.asarray(gauge(X), dtype=float)
-        acc.add(np.exp(-values ** p - proposal.logpdf(X)))
+    for values in map_batches(mc.seed, proposal.sample, evaluate,
+                              mc.sample_count, rng):
+        acc.add(values)
     norm = math.exp(-math.lgamma(1.0 + n / p))
     return Estimate(norm * acc.mean, norm * acc.std_error, mc.sample_count)
 
@@ -230,10 +242,10 @@ class SubspaceSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SubspaceSpec":
         basis, m, n, p = json_fields(data, "subspace", "basis", "m", "n", "p")
-        M = np.asarray(basis, dtype=float)
+        M = json_numbers(basis, "subspace basis")
         if M.shape != (m, n):
             raise ValueError("basis shape does not match m, n")
-        return cls(M, p)
+        return cls(M, json_number(p, "subspace p"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .bodies import VPolytope, unit_ball_volume
-from .sampling import RunningMean, batches, row_blocks, sphere_points
+from .sampling import RunningMean, map_batches, row_blocks, sphere_points
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,16 @@ def cauchy_surface_area(V: VPolytope, mc: McParams) -> Estimate:
     """Surface area from the spherical mean of shadow areas.
 
     |boundary| = (n v_n / v_{n-1}) * mean over uniform theta of |shadow|.
+    The batches run on the thread pool of ``sampling.map_batches``: batch 0
+    on ``np.random.default_rng(mc.seed)``, batch k >= 1 on a stream spawned
+    from ``mc.seed``.
     """
     n = V.dim
     factor = n * unit_ball_volume(n) / unit_ball_volume(n - 1)
-    rng = np.random.default_rng(mc.seed)
     acc = RunningMean()
-    for thetas in batches(rng, partial(sphere_points, dim=n), mc.sample_count):
-        acc.add(_shadows(V, thetas))
+    for shadows in map_batches(mc.seed, partial(sphere_points, dim=n),
+                               partial(_shadows, V), mc.sample_count):
+        acc.add(shadows)
     return Estimate(factor * acc.mean, factor * acc.std_error, mc.sample_count)
 
 
@@ -115,14 +118,16 @@ def petty_functional(V: VPolytope, mc: McParams) -> Estimate:
 
     Estimates (|C|^{n-1} * mean |shadow|^{-n})^{-1/n} by uniform direction
     sampling; minimized by ellipsoids.  The standard error comes from the
-    delta method applied to the inner spherical mean.
+    delta method applied to the inner spherical mean.  The batches run as
+    in ``cauchy_surface_area``.
     """
     n = V.dim
     vol = polytope_volume(V)
-    rng = np.random.default_rng(mc.seed)
     acc = RunningMean()
-    for thetas in batches(rng, partial(sphere_points, dim=n), mc.sample_count):
-        acc.add(_shadows(V, thetas) ** (-float(n)))
+    for values in map_batches(mc.seed, partial(sphere_points, dim=n),
+                              lambda thetas: _shadows(V, thetas) ** (-float(n)),
+                              mc.sample_count):
+        acc.add(values)
     inner = acc.mean
     value = (vol ** (n - 1) * inner) ** (-1.0 / n)
     se = value * acc.std_error / (n * inner)

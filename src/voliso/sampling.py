@@ -1,18 +1,23 @@
 """Seeded Monte Carlo plumbing: proposals, batching, running estimates.
 
-Every estimator in the package draws from a single PCG64 stream per call,
-consumed sequentially in batches of a fixed size, ``BATCH``.  The variates
-and the float sums over them are then fixed by the seed and the sample
-count, so an estimate depends only on (seed, sample_count).
-
-``batches`` draws the next batch on one worker thread while the caller
-evaluates the current one.  The stream is still read in order, by one
-thread at a time, so the contract is unchanged; each call owns its
-Generator and its worker, so estimators stay safe to call concurrently.
+Every estimator in the package splits its ``sample_count`` into batches of a
+fixed size, ``BATCH``, the last one short, and ``map_batches`` runs them.
+Batch 0 reads the estimator's own PCG64 generator, seeded by ``seed``, so an
+estimate of one batch draws the same variates as a single stream would.
+Batch k >= 1 reads a PCG64 stream of its own, seeded by the k-th child of
+``np.random.SeedSequence(seed).spawn(batches - 1)``.  Each batch is drawn
+and evaluated on a thread pool of min(batches, available CPUs) threads, and
+the per-batch results reach the caller in batch order, so the variates and
+the float sums over them are fixed by the seed and the sample count: an
+estimate depends only on (seed, sample_count), whatever the thread count.
+Each call owns its generators and its pool, so estimators stay safe to call
+concurrently.
 """
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,32 +28,59 @@ BATCH = 1 << 16
 _STUDENT_DF = 4.0   # degrees of freedom of each StudentTProposal coordinate
 
 
-def batches(rng: np.random.Generator, draw, total: int):
-    """Yield ``draw(rng, size)`` for ``total`` samples in batches of BATCH,
-    the last one short.
+def available_cpus() -> int:
+    """CPUs this process may run on: the size of the pool of ``map_batches``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity mask on this platform
+        return os.cpu_count() or 1
 
-    The first batch is drawn inline.  While the caller works on batch k, one
-    worker thread draws batch k+1; it is the only thread that touches ``rng``
-    meanwhile, and nothing is drawn past the last batch, so the variates are
-    those of drawing every batch in turn.  The worker is joined before the
-    last batch is yielded, and when the caller stops early or raises; an
-    error inside ``draw`` reaches the caller.
+
+def map_batches(seed: int, draw, evaluate, total: int, rng=None):
+    """Yield ``evaluate(draw(stream, size))`` for ``total`` samples in
+    batches of BATCH, the last one short, in batch order.
+
+    Batch 0 reads ``rng`` (default ``np.random.default_rng(seed)``), batch
+    k >= 1 a generator of its own seeded by the k-th child of
+    ``np.random.SeedSequence(seed).spawn(batches - 1)``.  With more than one
+    batch and more than one CPU the batches run on a thread pool of
+    min(batches, available_cpus()) threads, at most one batch per thread in
+    flight; otherwise they run in turn on the calling thread, which starts
+    no thread.  The pool is joined before the generator returns, and when
+    the caller stops early or raises; an error inside ``draw`` or
+    ``evaluate`` reaches the caller.
     """
     sizes = [min(BATCH, total - done) for done in range(0, total, BATCH)]
     if not sizes:
         return
-    batch = draw(rng, sizes[0])
-    if len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            for size in sizes[1:]:
-                ahead = worker.submit(draw, rng, size)
-                yield batch
-                batch = ahead.result()
-    yield batch
+    children = np.random.SeedSequence(seed).spawn(len(sizes) - 1)
+    if rng is None:
+        rng = np.random.default_rng(seed)
+
+    def run(k):
+        stream = rng if k == 0 else np.random.default_rng(children[k - 1])
+        return evaluate(draw(stream, sizes[k]))
+
+    workers = min(len(sizes), available_cpus())
+    if workers == 1:
+        for k in range(len(sizes)):
+            yield run(k)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(run, k) for k in range(workers))
+        try:
+            for k in range(workers, len(sizes) + workers):
+                result = pending.popleft().result()
+                if k < len(sizes):
+                    pending.append(pool.submit(run, k))
+                yield result
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 # OpenBLAS spreads a product with many rows over its own threads, which then
-# take the core the worker of ``batches`` draws on.  A product of ROW_BLOCK
+# take the cores the pool of ``map_batches`` works on.  A product of ROW_BLOCK
 # rows stays on the calling thread, and each row comes out the same bits
 # whichever block of two or more rows holds it.
 ROW_BLOCK = 8192
@@ -95,26 +127,47 @@ class StudentTProposal:
         return self.scale * rng.standard_t(_STUDENT_DF, size=(count, self.dim))
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
+        """Log density at the rows of ``x``, with one log per row of
+        prod_j (1 + z_j^2 / df), z = x / scale."""
         df, s = _STUDENT_DF, self.scale
         const = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
                  - 0.5 * math.log(df * math.pi) - math.log(s))
-        z = (x / s) ** 2 / df
-        return self.dim * const - 0.5 * (df + 1) * np.log1p(z).sum(axis=1)
+        q = np.asarray(x, dtype=float) / s
+        q *= q
+        q /= df
+        q += 1.0
+        prod = q[:, 0].copy()
+        for j in range(1, q.shape[1]):
+            prod *= q[:, j]
+        return self.dim * const - 0.5 * (df + 1) * np.log(prod)
 
 
 class RunningMean:
-    """Streaming mean and standard error over batches of values."""
+    """Streaming mean and standard error over batches of values.
+
+    The mean is the sum of the values over their count.  Each batch adds its
+    sum of squared deviations from its own mean, M2, by the pairwise update
+    of Chan, Golub and LeVeque, so the variance never comes from the
+    cancelling difference E[x^2] - E[x]^2.
+    """
 
     def __init__(self):
         self.count = 0
         self._sum = 0.0
-        self._sumsq = 0.0
+        self._m2 = 0.0
 
     def add(self, values: np.ndarray) -> None:
         v = np.asarray(values, dtype=float)
+        if not v.size:
+            return
+        total = float(v.sum())
+        m2 = float(np.square(v - total / v.size).sum())
+        if self.count:
+            delta = total / v.size - self._sum / self.count
+            m2 += delta * delta * self.count * v.size / (self.count + v.size)
         self.count += v.size
-        self._sum += float(v.sum())
-        self._sumsq += float((v * v).sum())
+        self._sum += total
+        self._m2 += m2
 
     @property
     def mean(self) -> float:
@@ -124,5 +177,4 @@ class RunningMean:
     def std_error(self) -> float:
         if self.count < 2:
             return float("inf")
-        var = max(self._sumsq / self.count - self.mean ** 2, 0.0)
-        return math.sqrt(var / (self.count - 1))
+        return math.sqrt(self._m2 / self.count / (self.count - 1))

@@ -4,9 +4,19 @@ The CLI golden reports use one batch of samples.  These cases use sample
 counts of 1, one full batch, one batch plus one sample and three batches
 plus a remainder, so they pin the variates and the per-batch float sums of
 every estimator across batch boundaries.  ``data/batched_estimates.expected``
-holds one ``name repr(estimate)`` line per case; it was written before the
-batches were drawn ahead on a worker thread, and every estimate must still
-reproduce it exactly.
+holds one ``name repr(estimate)`` line per case, and every estimate must
+reproduce it exactly, whatever the thread count.
+
+The file was re-pinned when batch k >= 1 came to read its own stream,
+spawned from the seed, so that batches can run on a thread pool.  Every
+value of one batch (counts 1, 8193 and 65536) kept its bits; 17 of their
+std_errors moved by 1-2 ulps (cauchy-8193 and cauchy-65536 by about 5e-15
+relative), 14 from summing squared deviations from the batch mean instead
+of E[x^2] - E[x]^2 and 3 from the rounding of the fused Brascamp-Lieb
+integrand and of the one-log Student-t density.  25 of the 26 lines of more
+than one batch changed with their re-drawn batches (bl-d3-indicator-65537 by
+one ulp of its value); bl-d3-exponential-65537 kept its bits, as its second
+batch of one sample weighs 0 on either stream.
 
 Four ``petty-*`` lines (``petty_functional(cross_polytope(3))``) were
 re-pinned when the facet areas' least-norm points came to be built by one

@@ -8,7 +8,8 @@ from voliso import (BLSystem, Density1D, McParams, bl_ratio, cube_volume_bound,
                     lift_to_cone, polytope_volume, reverse_isoperimetric_constant,
                     simplex_volume_bound, vrep_from_hrep)
 from voliso.brascamp_lieb import random_system
-from voliso.sampling import StudentTProposal
+from voliso import brascamp_lieb
+from voliso.sampling import RunningMean, StudentTProposal
 from voliso.shapes import regular_simplex, simplex_contact_directions
 
 MC = McParams(sample_count=400_000, seed=2)
@@ -144,6 +145,80 @@ class TestBlRatio:
             Density1D.indicator(1.0, 1.0)
         with pytest.raises(ValueError):
             Density1D.gaussian(0.0)
+
+
+def _reference_log_density(f, t):
+    """log f(t) of each tag written out on its own, as the per-density path
+    evaluated it before the fused integrand."""
+    with np.errstate(divide="ignore"):
+        if f.tag == "gaussian":
+            return -0.5 * (t / f.params[0]) ** 2
+        if f.tag == "exponential":
+            return np.where(t >= 0.0, -t, -np.inf)
+        if f.tag == "indicator":
+            return np.where((t >= f.params[0]) & (t <= f.params[1]), 0.0, -np.inf)
+        return np.log(np.interp(t, *f.params, left=0.0, right=0.0))
+
+
+TABLE = Density1D.table([-2.0, -1.0, 0.0, 0.5, 2.0], [0.0, 0.5, 1.0, 0.75, 0.0])
+FUSED_CASES = {
+    "all-four-tags": (random_system(3, 7, 5),
+                      [Density1D.gaussian(0.8), Density1D.exponential(),
+                       Density1D.indicator(-1.0, 1.5), TABLE,
+                       Density1D.gaussian(1.3), Density1D.indicator(-0.5, 3.0),
+                       Density1D.exponential()]),
+    "gaussians": (random_system(2, 4, 6),
+                  [Density1D.gaussian(0.6 + 0.2 * i) for i in range(4)]),
+    "tables": (random_system(2, 3, 7), [TABLE] * 3),
+    "mixed-supports": (random_system(2, 5, 8),
+                       [Density1D.indicator(-0.3, 0.4), Density1D.exponential(),
+                        Density1D.indicator(0.0, 2.0), TABLE,
+                        Density1D.gaussian(2.0)]),
+    # <u, x> >= 0 and <-u, x> >= 0 leave a line: no sample has support
+    "empty-support": (square_system(), [Density1D.exponential()] * 4),
+}
+
+
+class TestFusedIntegrand:
+    @pytest.mark.parametrize("name", sorted(FUSED_CASES))
+    def test_matches_the_per_density_path(self, name, monkeypatch):
+        system, densities = FUSED_CASES[name]
+        added = []
+
+        class Recorded(RunningMean):
+            def add(self, values):
+                added.append(np.array(values))
+                super().add(values)
+
+        monkeypatch.setattr(brascamp_lieb, "RunningMean", Recorded)
+        count = 20_000
+        est = bl_ratio(system, densities, McParams(count, seed=9))
+        got, = added
+        proposal = StudentTProposal(dim=system.dim)
+        X = proposal.sample(np.random.default_rng(9), count)
+        df, s = 4.0, proposal.scale
+        log_q = system.dim * (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
+                              - 0.5 * math.log(df * math.pi) - math.log(s)) \
+            - 0.5 * (df + 1) * np.log1p((X / s) ** 2 / df).sum(axis=1)
+        # the projections are the one product both paths share; a table is
+        # steep against its value near its zeros, so its rows amplify any
+        # rounding of <u, x>
+        dots = system.vectors @ X.T
+        log_num = sum(c * _reference_log_density(f, t) for t, c, f
+                      in zip(dots, system.weights, densities))
+        log_rhs = sum(c * math.log(f.integral)
+                      for c, f in zip(system.weights, densities))
+        expected = np.exp(log_num - log_rhs - log_q)
+        assert np.array_equal(got == 0.0, expected == 0.0)
+        # a weight of 1e-270 carries the rounding of its log, about 600 ulps;
+        # weights that small next to the largest count as absolute
+        np.testing.assert_allclose(got, expected, rtol=1e-13,
+                                   atol=1e-13 * expected.max())
+        assert est.value == pytest.approx(expected.mean(), rel=1e-13, abs=0.0)
+        if name == "empty-support":
+            assert est.value == 0.0 and not got.any()
+        else:
+            assert 0 < np.count_nonzero(got) and est.value > 0
 
 
 class TestLiftToCone:

@@ -97,6 +97,19 @@ class TestJohnCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: facet row 1 is not finite")
 
+    @pytest.mark.parametrize("data, message", [
+        ({"dim": [2], "kind": "H", "rows": [[1, 0, 1], [0, 1, 1], [-1, -1, 1]]},
+         "polytope dim must be a number, not list"),
+        ({"dim": 2.5, "kind": "H", "rows": [[1, 0, 1], [0, 1, 1], [-1, -1, 1]]},
+         "polytope dim must be a whole number, not 2.5"),
+        ({"dim": 2, "kind": "V", "rows": [[0, 0], [1, "0"], [0, 1]]},
+         "polytope rows must hold only numbers")])
+    def test_wrong_json_type_exits_2(self, capsys, tmp_path, data, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["john", "--input", str(path)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_vfile_simplex_gives_steiner_inellipsoid(self, capsys):
         # John's ellipsoid of a simplex is its Steiner inellipsoid: centre
         # the vertex centroid c, B^2 = sum (v_i - c)(v_i - c)^T / (n(n+1));
@@ -223,6 +236,17 @@ class TestLpCommand:
         code, out, err = run(capsys, ["lp", "--input", str(path)])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("data, message", [
+        ({"m": 3, "n": 2, "p": "1", "basis": [[1, 0], [0, 1], [1, 1]]},
+         "subspace p must be a number, not str"),
+        ({"m": 3, "n": 2, "p": 1.5, "basis": [[1, 0], [0, 1], [1]]},
+         "subspace basis must be a rectangular array of numbers")])
+    def test_wrong_json_type_exits_2(self, capsys, tmp_path, data, message):
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["lp", "--input", str(path)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_one_lewis_solve_per_call(self, capsys, monkeypatch, tmp_path):
         import voliso.cli as cli
         import voliso.lp_spaces as lp_spaces
@@ -284,6 +308,33 @@ class TestBlCommand:
         path = tmp_path / "system.json"
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, ["bl", "--input", str(path)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+    @pytest.mark.parametrize("data, message", [
+        ({"dim": 2, "vectors": {"u": [1, 0]}, "weights": [1, 1]},
+         "system vectors must hold only numbers"),
+        ({"dim": 2, "vectors": [[1, 0], [0, 1]], "weights": [1, None]},
+         "system weights must hold only numbers")])
+    def test_wrong_json_type_exits_2(self, capsys, tmp_path, data, message):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["bl", "--input", str(path)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("densities, message", [
+        ({"tag": "gaussian"}, "densities must be a JSON list, not dict"),
+        ([{"tag": "gaussian", "sigma": "1"}] * 4,
+         "gaussian density sigma must be a number, not str"),
+        ([{"tag": "table", "grid": [0, 1], "values": [[1], 1]}] * 4,
+         "table density values must be a rectangular array of numbers")])
+    def test_wrong_density_json_type_exits_2(self, capsys, tmp_path,
+                                             square_system_file, densities,
+                                             message):
+        path = tmp_path / "densities.json"
+        path.write_text(json.dumps(densities))
+        code, out, err = run(capsys, ["bl", "--input", square_system_file,
+                                      "--densities", str(path)])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

@@ -1,7 +1,13 @@
-"""Draw-ahead batching: the same variates as drawing in turn, one worker
-thread at most, and that thread gone when the estimator is done."""
+"""Per-batch streams on a thread pool: batch 0 reads the estimator's own
+generator, batch k >= 1 a stream spawned from the seed, results come back in
+batch order whatever the pool size, and the pool is gone when the estimator
+is done."""
+import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +15,13 @@ import pytest
 from voliso import (BLSystem, Density1D, McParams, SubspaceSpec, WeightedLpGauge,
                     bl_ratio, cauchy_surface_area, gauge_integral_volume,
                     petty_functional, subspace_volume_ratio)
+from voliso import sampling
 from voliso.brascamp_lieb import random_system
-from voliso.sampling import BATCH, ROW_BLOCK, batches, matmul_rows
-from voliso.shapes import cross_polytope, cube_vertices
+from voliso.sampling import (BATCH, ROW_BLOCK, RunningMean, StudentTProposal,
+                             map_batches, matmul_rows, sphere_points)
+from voliso.shapes import cross_polytope, cube_vertices, regular_polygon
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _estimators(count):
@@ -36,83 +46,202 @@ def _uniform(rng, size):
     return rng.uniform(size=size)
 
 
-@pytest.mark.parametrize("total", [1, BATCH, BATCH + 1, 3 * BATCH + 17])
-def test_batches_draw_what_drawing_in_turn_draws(total):
-    rng = np.random.default_rng(5)
-    got = list(batches(rng, _uniform, total))
-    reference = np.random.default_rng(5)
-    sizes = [BATCH] * (total // BATCH) + ([total % BATCH] if total % BATCH else [])
-    assert [len(b) for b in got] == sizes
-    for batch, size in zip(got, sizes):
-        assert np.array_equal(batch, reference.uniform(size=size))
-    # nothing was drawn past the last batch
-    assert rng.bit_generator.state == reference.bit_generator.state
+def _identity(batch):
+    return batch
 
 
-def test_no_batches_for_no_samples():
-    assert list(batches(np.random.default_rng(0), _uniform, 0)) == []
-
-
-@pytest.mark.parametrize("name", sorted(_estimators(1)))
-def test_one_batch_starts_no_thread(name, monkeypatch):
+def _record_starts(monkeypatch):
     starts = []
     original = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: starts.append(self) or original(self))
+    return starts
+
+
+@pytest.mark.parametrize("total", [1, BATCH, BATCH + 1, 3 * BATCH + 17])
+def test_batches_draw_what_drawing_in_turn_draws(total):
+    # batch 0 from the seeded generator, batch k >= 1 from the k-th spawned
+    # child, each the variates of drawing its own stream in turn
+    got = list(map_batches(5, _uniform, _identity, total))
+    sizes = [BATCH] * (total // BATCH) + ([total % BATCH] if total % BATCH else [])
+    assert [len(b) for b in got] == sizes
+    children = np.random.SeedSequence(5).spawn(len(sizes) - 1)
+    streams = [np.random.default_rng(5)] + [np.random.default_rng(c) for c in children]
+    for batch, stream, size in zip(got, streams, sizes):
+        assert np.array_equal(batch, stream.uniform(size=size))
+
+
+def test_batch_zero_continues_the_given_generator():
+    rng = np.random.default_rng(8)
+    rng.uniform(size=3)
+    reference = np.random.default_rng(8)
+    reference.uniform(size=3)
+    first = next(iter(map_batches(8, _uniform, _identity, 2 * BATCH, rng)))
+    assert np.array_equal(first, reference.uniform(size=BATCH))
+    # nothing was drawn from it past batch 0
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_no_batches_for_no_samples():
+    assert list(map_batches(0, _uniform, _identity, 0)) == []
+
+
+@pytest.mark.parametrize("name", ["bl_ratio", "cauchy_surface_area",
+                                  "gauge_integral_volume", "petty_functional"])
+def test_one_batch_draws_the_variates_of_the_seeded_generator(name, monkeypatch):
+    # a one-batch estimate reads np.random.default_rng(seed) as one stream
+    # did before the pool: the gauge integral after its probe directions
+    # (subspace_volume_ratio is the gauge integral of a Lewis position)
+    draws, proposals = [], []
+    original_sample = StudentTProposal.sample
+
+    def sample(self, rng, count):
+        proposals.append(self)
+        draws.append(original_sample(self, rng, count))
+        return draws[-1]
+
+    def points(rng, count, dim):
+        draws.append(sphere_points(rng, count, dim))
+        return draws[-1]
+
+    monkeypatch.setattr(StudentTProposal, "sample", sample)
+    monkeypatch.setattr("voliso.measures.sphere_points", points)
+    monkeypatch.setattr("voliso.lp_spaces.sphere_points", points)
+    _estimators(1000)[name]()
+    rng = np.random.default_rng(3)
+    if name in ("cauchy_surface_area", "petty_functional"):
+        expected = [sphere_points(rng, 1000, 3)]
+    else:
+        expected = [] if name == "bl_ratio" else [sphere_points(rng, 256, draws[0].shape[1])]
+        expected.append(original_sample(proposals[0], rng, 1000))
+    assert len(draws) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(draws, expected))
+
+
+@pytest.mark.parametrize("name", sorted(_estimators(1)))
+def test_one_batch_starts_no_thread(name, monkeypatch):
+    starts = _record_starts(monkeypatch)
     _estimators(BATCH)[name]()
     assert starts == []
 
 
 @pytest.mark.parametrize("name", sorted(_estimators(1)))
+def test_pool_size_does_not_change_the_bits(name, monkeypatch):
+    estimate = _estimators(3 * BATCH + 17)[name]
+    default = estimate()
+    for cpus in (1, 3):
+        monkeypatch.setattr(sampling, "available_cpus", lambda cpus=cpus: cpus)
+        assert estimate() == default
+
+
+_BLAS_SCRIPT = """
+import numpy as np
+from voliso import (Density1D, McParams, SubspaceSpec, bl_ratio,
+                    cauchy_surface_area, petty_functional, subspace_volume_ratio)
+from voliso.brascamp_lieb import random_system
+from voliso.shapes import cross_polytope, cube_vertices
+mc = McParams(3 * 65536 + 17, seed=4)
+for d, m in ((2, 4), (3, 7), (6, 14)):
+    system = random_system(d, m, np.random.default_rng(d))
+    print(repr(bl_ratio(system, [Density1D.gaussian(1.0 + 0.1 * i)
+                                 for i in range(m)], mc)))
+spec = SubspaceSpec(np.random.default_rng(1).standard_normal((12, 5)), 1.5)
+print(repr(subspace_volume_ratio(spec, mc)))
+print(repr(cauchy_surface_area(cube_vertices(4), mc)))
+print(repr(petty_functional(cross_polytope(3), mc)))
+"""
+
+
+def test_blas_threads_do_not_change_the_bits():
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + sys.path)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        result = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 6
+
+
+@pytest.mark.parametrize("name", sorted(_estimators(1)))
 def test_worker_is_joined_when_estimator_returns(name, monkeypatch):
-    starts = []
-    original = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start",
-                        lambda self: starts.append(self) or original(self))
+    # the pool has min(batches, CPUs) threads; 3 CPUs are claimed so that a
+    # pool starts on any machine
+    monkeypatch.setattr(sampling, "available_cpus", lambda: 3)
+    starts = _record_starts(monkeypatch)
     baseline = threading.active_count()
     _estimators(2 * BATCH + 1)[name]()
-    assert len(starts) == 1          # one worker for the whole estimate
+    assert 1 <= len(starts) <= 3
+    assert not any(thread.is_alive() for thread in starts)
     assert threading.active_count() == baseline
 
 
 def test_worker_is_joined_when_evaluation_raises(monkeypatch):
+    monkeypatch.setattr(sampling, "available_cpus", lambda: 2)
     calls = []
     original = WeightedLpGauge.__call__
 
     def gauge(self, points):
         calls.append(len(points))
-        if len(calls) == 3:          # the probe, one batch, then the second
+        if len(calls) == 3:          # the probe, one block, then the next
             raise RuntimeError("gauge failed")
         return original(self, points)
 
     monkeypatch.setattr(WeightedLpGauge, "__call__", gauge)
+    starts = _record_starts(monkeypatch)
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match="gauge failed"):
         gauge_integral_volume(_ball_gauge(), McParams(3 * BATCH))
-    assert calls == [256, BATCH, BATCH]
+    assert calls[0] == 256 and len(calls) >= 3
+    assert not any(thread.is_alive() for thread in starts)
     assert threading.active_count() == baseline
 
 
-def test_error_in_draw_reaches_caller():
+def test_error_in_draw_reaches_caller(monkeypatch):
+    monkeypatch.setattr(sampling, "available_cpus", lambda: 2)
+
     def draw(rng, size):
-        if draw.calls == 2:
+        if size == 17:               # the last batch
             raise ValueError("draw failed")
-        draw.calls += 1
         return rng.uniform(size=size)
 
-    draw.calls = 0
     baseline = threading.active_count()
     seen = []
     with pytest.raises(ValueError, match="draw failed"):
-        for batch in batches(np.random.default_rng(0), draw, 4 * BATCH):
+        for batch in map_batches(0, draw, _identity, 3 * BATCH + 17):
             seen.append(len(batch))
-    assert seen == [BATCH, BATCH]
+    assert seen == [BATCH] * 3
     assert threading.active_count() == baseline
 
 
+def test_worker_is_joined_when_caller_stops_early(monkeypatch):
+    monkeypatch.setattr(sampling, "available_cpus", lambda: 2)
+    starts = _record_starts(monkeypatch)
+    evaluated = []
+
+    def evaluate(batch):
+        evaluated.append(len(batch))
+        return batch
+
+    baseline = threading.active_count()
+    batches = map_batches(0, _uniform, evaluate, 20 * BATCH)
+    assert len(next(batches)) == BATCH
+    batches.close()
+    assert len(starts) == 2
+    assert not any(thread.is_alive() for thread in starts)
+    assert threading.active_count() == baseline
+    # at most one batch per thread was in flight past the one taken
+    assert len(evaluated) <= 3
+
+
 def test_concurrent_calls_give_their_sequential_estimates():
-    # more callers than cores, each with its own worker, switching threads
-    # often: every call must still read its own stream in order
+    # more callers than cores, each with its own pool, switching threads
+    # often: every call must still read its own streams
     system = random_system(3, 5, np.random.default_rng(4))
     densities = [Density1D.gaussian(1.0)] * 5
     seeds = range(4)
@@ -146,3 +275,37 @@ def test_matmul_rows_matches_one_product(rows):
     c = rng.standard_normal(7)
     assert np.array_equal(matmul_rows(a, b.T), a @ b.T)
     assert np.array_equal(matmul_rows(a, c), a @ c)
+
+
+def test_logpdf_matches_the_sum_of_log1p():
+    proposal = StudentTProposal(dim=5, scale=1.3)
+    x = proposal.sample(np.random.default_rng(9), 10_000)
+    df = 4.0
+    const = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
+             - 0.5 * math.log(df * math.pi) - math.log(1.3))
+    reference = 5 * const - 0.5 * (df + 1) * np.log1p((x / 1.3) ** 2 / df).sum(axis=1)
+    np.testing.assert_allclose(proposal.logpdf(x), reference, rtol=1e-13, atol=1e-13)
+
+
+def test_running_mean_variance_matches_two_passes():
+    # the Petty integrand on the 720-gon: values near a constant, where
+    # E[x^2] - E[x]^2 cancels to a relative error of about 1e-6
+    V = regular_polygon(720)
+    from voliso.measures import _shadows
+    thetas = sphere_points(np.random.default_rng(16), 3 * BATCH + 17, 2)
+    values = _shadows(V, thetas) ** -2.0
+    acc = RunningMean()
+    for lo in range(0, len(values), BATCH):
+        acc.add(values[lo:lo + BATCH])
+    assert acc.count == len(values)
+    assert acc.mean == sum(float(values[lo:lo + BATCH].sum())
+                           for lo in range(0, len(values), BATCH)) / len(values)
+    reference = math.sqrt(np.var(values) / (len(values) - 1))
+    assert abs(acc.std_error - reference) <= 1e-12 * reference
+
+
+def test_running_mean_of_one_value_has_no_error():
+    acc = RunningMean()
+    acc.add(np.array([2.5]))
+    acc.add(np.array([]))
+    assert acc.mean == 2.5 and acc.std_error == math.inf
