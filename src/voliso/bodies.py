@@ -27,7 +27,6 @@ MAX_EXACT_DIM = 6
 
 _SYM_TOL = 1e-12
 _ORIGIN_DEPTH = 0.1   # least min/max offset ratio at which qhull starts from the origin
-_LIFT_SEED = 1983     # draws the heights that split vertices on more than n facets
 
 
 def _readonly(a):
@@ -78,12 +77,14 @@ def json_fields(data, what: str, *names):
 def json_numbers(value, what: str) -> np.ndarray:
     """``value``, read from a JSON file, as a float array; ValueError unless
     it is a number or a rectangular nest of lists of numbers.  Strings,
-    objects, nulls and all-boolean arrays are refused."""
+    objects, nulls and booleans are refused, a boolean among numbers too
+    (numpy would read it as 1 or 0)."""
     try:
         array = np.asarray(value)
     except ValueError as exc:                 # a ragged nest of lists
         raise ValueError(f"{what} must be a rectangular array of numbers") from exc
-    if array.dtype.kind not in "iuf":
+    if array.dtype.kind not in "iuf" or any(
+            isinstance(item, bool) for item in np.asarray(value, dtype=object).flat):
         raise ValueError(f"{what} must hold only numbers")
     return array.astype(float)
 
@@ -218,15 +219,31 @@ class VPolytope:
 
     @functools.cached_property
     def _facet_areas(self):
-        """Facet areas |F_i|, on first use, by Lasserre's recursion about the
-        vertex centroid (a far origin costs digits): least-norm points by one
-        Gram-Schmidt step per face, heights as distances between them.
-        DegenerateBodyError on |sum |F_i| a_i| > 1e-12 sum |F_i|, when
-        dependent facet normals at some face leave NaN areas, or when qhull
-        fails to split a vertex on more than n facets."""
-        normals, center = self._equations[:, :-1], self.vertices.mean(axis=0)
-        faces = _simple_vertices(self.vertices - center, normals, self._incidence)
-        areas = _lasserre(normals, -self._equations[:, -1] - normals @ center, faces)
+        """Facet areas |F_i|, on first use.  A simple body (every vertex on n
+        facets) is measured by Lasserre's recursion about the vertex centroid
+        (a far origin costs digits): least-norm points by one Gram-Schmidt
+        step per face, heights as distances between them.  Any other body is
+        measured on qhull's triangulation of its vertices: each simplex goes
+        to the facet that all its vertices lie on, with area
+        |det [edges; a_i]| / (n - 1)!.  DegenerateBodyError on
+        |sum |F_i| a_i| > 1e-12 sum |F_i|, when dependent facet normals at
+        some face leave NaN areas, or when qhull fails."""
+        normals, n = self._equations[:, :-1], self.dim
+        if (self._incidence.sum(axis=1) == n).all():
+            center = self.vertices.mean(axis=0)
+            faces = np.nonzero(self._incidence)[1].reshape(-1, n)
+            areas = _lasserre(normals, -self._equations[:, -1] - normals @ center, faces)
+        else:
+            try:
+                simplices = ConvexHull(self.vertices).simplices
+            except QhullError as exc:
+                raise DegenerateBodyError(f"qhull precision failure: {exc}") from exc
+            facet = np.logical_and.reduce(self._incidence[simplices], axis=1).argmax(axis=1)
+            corners = self.vertices[simplices]
+            rows = np.concatenate([corners[:, 1:] - corners[:, :1], normals[facet, None]],
+                                  axis=1)
+            areas = np.bincount(facet, np.abs(np.linalg.det(rows)),
+                                minlength=len(normals)) / math.factorial(n - 1)
         residual = np.linalg.norm(areas @ normals) / areas.sum()
         if not residual <= 1e-12:
             raise DegenerateBodyError(f"facets miss closure: residual {residual:.3g}")
@@ -239,34 +256,6 @@ class VPolytope:
         E = self._equations
         inside = np.all(pts @ E[:, :-1].T + E[:, -1] <= tol, axis=1)
         return inside if np.asarray(points).ndim > 1 else bool(inside[0])
-
-
-def _simple_vertices(vertices, normals, incidence):
-    """Sorted facet-index rows of n for the vertices (about an interior point)
-    of a simple body with the same measures: a vertex v on more than n facets
-    splits as generic offset changes delta would, into the lower facets of the
-    hull of a_i / <a_i, w> lifted along w = v / |v| by delta_i / <a_i, w>; new
-    faces measure 0, as measures are continuous and piecewise polynomial."""
-    n = vertices.shape[1]
-    count = incidence.sum(axis=1)
-    rows = [np.nonzero(incidence[count == n])[1].reshape(-1, n)]
-    split = count > n
-    if not split.any():
-        return rows[0]
-    heights = np.random.default_rng(_LIFT_SEED).random(len(normals))
-    for vertex, on in zip(vertices[split], incidence[split]):
-        facets = np.flatnonzero(on)
-        w = vertex / np.linalg.norm(vertex)
-        dots = normals[facets] @ w
-        lifted = (normals[facets] + np.outer(heights[facets] - dots, w)) / dots[:, None]
-        try:
-            hull = ConvexHull(lifted)
-        except QhullError as exc:
-            raise DegenerateBodyError(f"qhull precision failure splitting a vertex "
-                                      f"on {len(facets)} facets: {exc}") from exc
-        lower = hull.equations[:, :-1] @ w < -1e-9     # not near-vertical
-        rows.append(np.sort(facets[hull.simplices[lower]], axis=1))
-    return np.vstack(rows)
 
 
 def _lasserre(normals, offsets, faces):

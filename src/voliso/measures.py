@@ -2,11 +2,13 @@
 
 Every exact quantity of a VPolytope, for n = 2..6, comes from the areas
 |F_i| of its facets, with unit normals a_i and offsets b_i, which the body
-computes once by Lasserre's recursion on its faces, each face's least-norm
-point taken by one Gram-Schmidt step from that of the face on one facet fewer,
-with no matrix factorization: |K| = (1/n) sum b_i |F_i|,
-|dK| = sum |F_i|, and the shadow along a unit theta is
-(1/2) sum |<a_i, theta>| |F_i| by Cauchy's projection formula.  The Monte
+computes once: |K| = (1/n) sum b_i |F_i|, |dK| = sum |F_i|, and the shadow
+along a unit theta is (1/2) sum |<a_i, theta>| |F_i| by Cauchy's projection
+formula.  A simple body (every vertex on n facets) is measured by Lasserre's
+recursion on its faces, each face's least-norm point taken by one
+Gram-Schmidt step from that of the face on one facet fewer, with no matrix
+factorization; any other body sums the simplices of qhull's triangulation of
+its vertices, |det [edges; a_i]| / (n - 1)! each, per facet.  The Monte
 Carlo quantities here are spherical means of shadows (Cauchy's surface area,
 Petty's functional), seeded, batched, and reported with standard errors; the
 one Monte Carlo volume is that of a gauge ball,

@@ -32,6 +32,21 @@ path), and the reprs with them:
   (+2.0e-15), value unchanged
 - petty-196625 value 1.4141187144557172 -> 1.414118714455717 (-1.6e-16),
   std_error 0.00023482627946499042 -> 0.00023482627946498944 (-4.2e-15)
+
+They were re-pinned again when non-simple bodies came to be measured on
+qhull's triangulation instead of by Lasserre's recursion after splitting each
+vertex on more than n facets.  The octahedron's facet areas went from -2..+5
+ulps of sqrt(3) / 2 to +2 ulps on all eight facets, and the reprs moved by 1-3
+ulps:
+
+- petty-8193 value 1.4165018752112097 -> 1.41650187521121,
+  std_error 0.0011550138581535227 -> 0.001155013858153523
+- petty-65536 value 1.4140776381960858 -> 1.414077638196086,
+  std_error 0.0004069622153725306 -> 0.0004069622153725307
+- petty-65537 value 1.4140654250142641 -> 1.4140654250142644,
+  std_error 0.00040555000467073696 -> 0.000405550004670737
+- petty-196625 value 1.413993884629423 -> 1.4139938846294233, std_error
+  unchanged
 """
 from pathlib import Path
 

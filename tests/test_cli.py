@@ -103,6 +103,9 @@ class TestJohnCommand:
         ({"dim": 2.5, "kind": "H", "rows": [[1, 0, 1], [0, 1, 1], [-1, -1, 1]]},
          "polytope dim must be a whole number, not 2.5"),
         ({"dim": 2, "kind": "V", "rows": [[0, 0], [1, "0"], [0, 1]]},
+         "polytope rows must hold only numbers"),
+        # numpy reads a boolean among numbers as 1 or 0
+        ({"dim": 2, "kind": "V", "rows": [[0, 0], [1, False], [0, 1]]},
          "polytope rows must hold only numbers")])
     def test_wrong_json_type_exits_2(self, capsys, tmp_path, data, message):
         path = tmp_path / "bad.json"
@@ -240,7 +243,9 @@ class TestLpCommand:
         ({"m": 3, "n": 2, "p": "1", "basis": [[1, 0], [0, 1], [1, 1]]},
          "subspace p must be a number, not str"),
         ({"m": 3, "n": 2, "p": 1.5, "basis": [[1, 0], [0, 1], [1]]},
-         "subspace basis must be a rectangular array of numbers")])
+         "subspace basis must be a rectangular array of numbers"),
+        ({"m": 3, "n": 2, "p": 1.5, "basis": [[1, 0], [0, 1], [1, True]]},
+         "subspace basis must hold only numbers")])
     def test_wrong_json_type_exits_2(self, capsys, tmp_path, data, message):
         path = tmp_path / "sub.json"
         path.write_text(json.dumps(data))
@@ -315,6 +320,8 @@ class TestBlCommand:
         ({"dim": 2, "vectors": {"u": [1, 0]}, "weights": [1, 1]},
          "system vectors must hold only numbers"),
         ({"dim": 2, "vectors": [[1, 0], [0, 1]], "weights": [1, None]},
+         "system weights must hold only numbers"),
+        ({"dim": 2, "vectors": [[1, 0], [0, 1]], "weights": [1, True]},
          "system weights must hold only numbers")])
     def test_wrong_json_type_exits_2(self, capsys, tmp_path, data, message):
         path = tmp_path / "system.json"
@@ -327,7 +334,9 @@ class TestBlCommand:
         ([{"tag": "gaussian", "sigma": "1"}] * 4,
          "gaussian density sigma must be a number, not str"),
         ([{"tag": "table", "grid": [0, 1], "values": [[1], 1]}] * 4,
-         "table density values must be a rectangular array of numbers")])
+         "table density values must be a rectangular array of numbers"),
+        ([{"tag": "table", "grid": [0, True, 2], "values": [1, 1, 1]}] * 4,
+         "table density grid must hold only numbers")])
     def test_wrong_density_json_type_exits_2(self, capsys, tmp_path,
                                              square_system_file, densities,
                                              message):

@@ -1,19 +1,23 @@
 """Exact measures from the facets of a polytope.
 
-Every VPolytope measures its facets by Lasserre's recursion on the
-vertex-facet incidence; a vertex on more than n facets is first split by a
-regular triangulation of its facet normals.  These tests pin bodies on which
-a qhull hull of the vertices fails, non-simple bodies with closed-form
-measures, the closure guard, that simple H-born bodies build no hull, and a
-seeded survey against qhull and against a reference recursion that takes
-each face's least-norm point from a QR factorization.
+A simple VPolytope (every vertex on n facets) measures its facets by
+Lasserre's recursion on the vertex-facet incidence; any other body sums the
+simplices of qhull's triangulation of its vertices, each on the facet that
+all its vertices lie on.  These tests pin bodies on which a qhull hull of the
+vertices fails (all simple), non-simple bodies with closed-form measures and
+their affine images, the closure guard on both branches, that simple H-born
+bodies build no hull, and a seeded survey of simple bodies against qhull and
+against a reference recursion that takes each face's least-norm point from a
+QR factorization.
 """
 import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from voliso import (DegenerateBodyError, HPolytope, VPolytope, apply_affine,
                     bodies, john_position, polytope_volume, projection_area,
@@ -119,6 +123,18 @@ def _pyramid_vertices(n):
     return VPolytope(np.vstack([base, np.eye(n)[n - 1]]))
 
 
+def _bipyramid(n, h):
+    # apexes +-h e_n over the base [-1, 1]^(n-1) at x_n = 0
+    rows = [s * np.eye(n)[i] + t / h * np.eye(n)[n - 1]
+            for i in range(n - 1) for s in (-1, 1) for t in (-1, 1)]
+    return HPolytope(rows, np.ones(4 * (n - 1)))
+
+
+def _bipyramid_vertices(n, h):
+    base = np.hstack([_signs(n - 1), np.zeros((2 ** (n - 1), 1))])
+    return VPolytope(np.vstack([base, h * np.eye(n)[n - 1], -h * np.eye(n)[n - 1]]))
+
+
 def _cube_touched_and_repeated():
     # x + y + z <= 3 touches the cube at (1, 1, 1); row 0 appears twice
     P = cube(3)
@@ -139,9 +155,15 @@ NON_SIMPLE = {
     "octahedron-squared-h": (_octahedron_squared, 16.0 / 9.0),
     "octahedron-squared-v": (_octahedron_squared_vertices, 16.0 / 9.0),
     **{f"pyramid-{n}-h": (lambda n=n: _pyramid(n), 2.0 * 4.0 ** (n - 1) / n)
-       for n in range(4, 7)},
+       for n in range(3, 7)},
     **{f"pyramid-{n}-v": (lambda n=n: _pyramid_vertices(n), 2.0 * 4.0 ** (n - 1) / n)
-       for n in range(4, 7)},
+       for n in range(3, 7)},
+    # neither simple nor simplicial for n >= 4: every vertex is on 2(n - 1)
+    # facets, each facet a pyramid over an (n - 2)-cube
+    **{f"bipyramid-{n}-h": (lambda n=n: _bipyramid(n, 0.75), 2.0 ** n * 0.75 / n)
+       for n in range(3, 7)},
+    **{f"bipyramid-{n}-v": (lambda n=n: _bipyramid_vertices(n, 0.75), 2.0 ** n * 0.75 / n)
+       for n in range(3, 7)},
     "cube-touched-repeated-h": (_cube_touched_and_repeated, 8.0),
 }
 
@@ -166,15 +188,31 @@ def test_cross_polytope_area(n, kind):
 
 
 @pytest.mark.parametrize("name", sorted(NON_SIMPLE))
-def test_other_heights_give_the_same_measures(name, monkeypatch):
-    # the split follows the regular triangulation of one height vector;
-    # measures must not depend on which
+def test_other_heights_give_the_same_measures(name):
+    # an affine image x -> L x + t puts every facet at other heights and
+    # normals, and qhull triangulates it afresh; its volume must be
+    # |det L| |K| and its area |det L| sum |F_i| |L^-T a_i|
     body = _body(name)
-    measures = polytope_volume(body), surface_area(body)
-    monkeypatch.setattr(bodies, "_LIFT_SEED", 7)
-    other = _body(name)
-    assert polytope_volume(other) == pytest.approx(measures[0], rel=1e-13)
-    assert surface_area(other) == pytest.approx(measures[1], rel=1e-13)
+    T = random_affine_map(body.dim, np.random.default_rng([22, body.dim]), max_shift=0.25)
+    image = VPolytope(T(body.vertices))
+    scale = abs(np.linalg.det(T.linear))
+    stretch = np.linalg.norm(np.linalg.solve(T.linear.T, body._equations[:, :-1].T), axis=0)
+    assert polytope_volume(image) == pytest.approx(scale * polytope_volume(body), rel=1e-13)
+    assert surface_area(image) == pytest.approx(scale * stretch @ body._facet_areas,
+                                                rel=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6), st.floats(0.05, 20.0), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_affine_pyramids_and_bipyramids_keep_their_closed_forms(n, h, double, seed):
+    # apex h e_n over [-1, 1]^(n-1) at x_n = 0, or apexes +-h e_n
+    base = np.hstack([_signs(n - 1), np.zeros((2 ** (n - 1), 1))])
+    apexes = h * np.eye(n)[n - 1] * ([[1.0], [-1.0]] if double else [[1.0]])
+    T = random_affine_map(n, np.random.default_rng(seed), max_shift=1.0)
+    image = VPolytope(T(np.vstack([base, apexes])))
+    expected = len(apexes) * 2.0 ** (n - 1) * h / n * abs(np.linalg.det(T.linear))
+    assert polytope_volume(image) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("n, seed, drop",
@@ -236,19 +274,65 @@ def test_closure_guard_catches_dependent_normals(n, vertex, monkeypatch):
         polytope_volume(V)
 
 
-def test_qhull_failure_splitting_a_vertex_is_a_degenerate_body(tmp_path, capsys):
-    # draw 2 of the 6-D hulls of 8..24 centred Gaussian points: qhull's hull
-    # of the lifted normals at the vertex on 84 facets fails (QH6297)
+def _gaussian_hull_6(draw):
+    """Draw ``draw`` (0-based) of the 6-D hulls of 8..24 centred Gaussian
+    points of ``default_rng([79, 6])``, as in TestHullRoundTrip."""
     rng = np.random.default_rng([79, 6])
-    for _ in range(3):
+    for _ in range(draw + 1):
         pts = rng.standard_normal((rng.integers(8, 25), 6))
-    V = VPolytope(pts - pts.mean(axis=0))
-    with pytest.raises(DegenerateBodyError, match="splitting a vertex on 84 facets"):
-        polytope_volume(V)
+    return pts - pts.mean(axis=0)
+
+
+@pytest.mark.parametrize("draw", [2, 23])
+def test_hulls_with_vertices_on_many_facets_are_measured(draw, tmp_path, capsys):
+    # these hulls have vertices on up to 84 and 196 facets, where splitting
+    # each such vertex into simple ones used to fail in qhull (QH6297, QH7088)
+    pts = _gaussian_hull_6(draw)
+    V, hull = VPolytope(pts), ConvexHull(pts)
+    assert polytope_volume(V) == pytest.approx(hull.volume, rel=1e-12)
+    assert surface_area(V) == pytest.approx(hull.area, rel=1e-12)
     path = tmp_path / "hull.json"
     write_polytope(path, V)
+    assert main(["petty", "--input", str(path), "--samples", "100"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+class _FailingHull:
+    def __init__(self, points):
+        raise QhullError("QH6154 qhull precision error: initial simplex is flat")
+
+
+def test_qhull_failure_in_the_facet_areas_is_a_degenerate_body(tmp_path, capsys,
+                                                               monkeypatch):
+    # an H-born body builds no hull before its facet areas, so the failing
+    # hull is the triangulation of this non-simple body
+    path = tmp_path / "cross.json"
+    write_polytope(path, _cross_polytope(4))
+    monkeypatch.setattr(bodies, "ConvexHull", _FailingHull)
+    V = vrep_from_hrep(_cross_polytope(4))
+    with pytest.raises(DegenerateBodyError, match="qhull precision failure: QH6154"):
+        polytope_volume(V)
     assert main(["petty", "--input", str(path), "--samples", "100"]) == 2
-    assert "splitting a vertex" in capsys.readouterr().err
+    assert "qhull precision failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, drop", [("cross-3-v", 0), ("pyramid-4-h", 4),
+                                        ("24-cell-h", 17), ("bipyramid-5-v", -1),
+                                        ("pyramid-6-v", 2)])
+def test_closure_guard_catches_a_dropped_simplex(name, drop, monkeypatch):
+    # simplex ``drop`` has positive area; qhull's triangulation of a
+    # non-simplicial facet also holds flat simplices, which measure 0
+    body = _body(name)
+    real = bodies.ConvexHull
+
+    class DropsOneSimplex:
+        def __init__(self, points):
+            simplices = real(points).simplices
+            self.simplices = np.delete(simplices, drop % len(simplices), axis=0)
+
+    monkeypatch.setattr(bodies, "ConvexHull", DropsOneSimplex)
+    with pytest.raises(DegenerateBodyError, match="residual"):
+        polytope_volume(body)
 
 
 def _least_norm_by_qr(normals, offsets, faces):
@@ -302,8 +386,10 @@ def test_survey_against_qhull_and_the_qr_recursion(n, symmetric):
             hull = ConvexHull(V.vertices)
             assert polytope_volume(V) == pytest.approx(hull.volume, rel=1e-12)
             assert surface_area(V) == pytest.approx(hull.area, rel=1e-12)
+            # the random bodies are simple: every vertex is on n facets
+            assert np.all(V._incidence.sum(axis=1) == n)
             normals, center = V._equations[:, :-1], V.vertices.mean(axis=0)
-            faces = bodies._simple_vertices(V.vertices - center, normals, V._incidence)
+            faces = np.nonzero(V._incidence)[1].reshape(-1, n)
             reference = _lasserre_by_qr(
                 normals, -V._equations[:, -1] - normals @ center, faces)
             assert np.abs(V._facet_areas - reference).max() <= 1e-12 * reference.sum()
