@@ -12,6 +12,12 @@ the float sums over them are fixed by the seed and the sample count: an
 estimate depends only on (seed, sample_count), whatever the thread count.
 Each call owns its generators and its pool, so estimators stay safe to call
 concurrently.
+
+``StudentTProposal`` draws a batch of ``count`` rows from its stream as three
+(count, dim) arrays in turn, uniforms U1, uniforms U2 and normals Z, and
+makes each t4 coordinate scale Z sqrt(-2 / log(U1 U2)): one log per
+coordinate and no rejection loop, so a batch reads a fixed number of
+variates.
 """
 from __future__ import annotations
 
@@ -114,17 +120,38 @@ def sphere_points(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
 class StudentTProposal:
     """Product of independent Student-t coordinates, used as IS proposal.
 
-    Polynomial tails dominate every exponentially decaying integrand that
-    appears here (products of integrable densities of linear functionals,
-    e^{-gauge^p} integrands), so importance weights have finite variance and
-    the reported standard errors are honest.
+    Each coordinate is ``scale`` times a t variate of 4 degrees of freedom,
+    drawn from two uniforms and one normal (see ``sample``).  Polynomial
+    tails dominate every exponentially decaying integrand that appears here
+    (products of integrable densities of linear functionals, e^{-gauge^p}
+    integrands), so importance weights have finite variance and the reported
+    standard errors are honest.
     """
 
     dim: int
     scale: float = 1.5
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.scale * rng.standard_t(_STUDENT_DF, size=(count, self.dim))
+        """``count`` rows drawn as X = scale Z sqrt(-2 / log(U1 U2)).
+
+        A t4 variate is Z / sqrt(V) with V = chi2_4 / 4 = -log(U1 U2) / 2
+        for independent uniforms U1, U2 and a standard normal Z (Devroye,
+        Non-Uniform Random Variate Generation, 1986, ch. IX).  ``rng``
+        fills U1, then U2, then Z, each a (count, dim) array.  The uniforms
+        lie in [0, 1) as drawn, so U1 U2 < 1 and V is never 0; a zero
+        uniform gives V = inf and the coordinate 0, which is finite.
+        """
+        shape = (count, self.dim)
+        x = rng.random(shape)
+        v = rng.random(shape)
+        v *= x
+        with np.errstate(divide="ignore"):      # log(0) = -inf: V = inf
+            np.log(v, out=v)
+        np.divide(-2.0 * self.scale * self.scale, v, out=v)
+        np.sqrt(v, out=v)
+        rng.standard_normal(out=x)
+        x *= v
+        return x
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
         """Log density at the rows of ``x``, with one log per row of

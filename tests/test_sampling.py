@@ -7,10 +7,12 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from voliso import (BLSystem, Density1D, McParams, SubspaceSpec, WeightedLpGauge,
                     bl_ratio, cauchy_surface_area, gauge_integral_volume,
@@ -285,6 +287,50 @@ def test_logpdf_matches_the_sum_of_log1p():
              - 0.5 * math.log(df * math.pi) - math.log(1.3))
     reference = 5 * const - 0.5 * (df + 1) * np.log1p((x / 1.3) ** 2 / df).sum(axis=1)
     np.testing.assert_allclose(proposal.logpdf(x), reference, rtol=1e-13, atol=1e-13)
+
+
+def test_sample_coordinates_follow_t4():
+    # seed and p-value floor fixed before the first run
+    proposal = StudentTProposal(dim=4, scale=1.3)
+    x = proposal.sample(np.random.default_rng(23), 1 << 16) / 1.3
+    for column in x.T:
+        assert stats.kstest(column, stats.t(4).cdf).pvalue >= 1e-3
+
+
+def test_sample_reads_u1_u2_then_z():
+    proposal = StudentTProposal(dim=3, scale=1.3)
+    rng = np.random.default_rng(31)
+    x = proposal.sample(rng, 1000)
+    reference = np.random.default_rng(31)
+    u1 = reference.random((1000, 3))
+    u2 = reference.random((1000, 3))
+    z = reference.standard_normal((1000, 3))
+    np.testing.assert_allclose(x, 1.3 * z * np.sqrt(-2.0 / np.log(u1 * u2)),
+                               rtol=1e-14, atol=0.0)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+class _ZeroUniforms:
+    """A generator whose uniforms are all 0 and whose normals are all 1."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+    def standard_normal(self, out):
+        out[...] = 1.0
+        return out
+
+
+def test_zero_uniforms_give_zero_coordinates():
+    # U1 U2 = 0 gives V = inf: the coordinate is 0, not a nan or a warning
+    proposal = StudentTProposal(dim=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = proposal.sample(_ZeroUniforms(), 5)
+        log_q = proposal.logpdf(x)
+    assert x.shape == (5, 3)
+    assert np.all(x == 0.0)
+    assert np.all(np.isfinite(log_q))
 
 
 def test_running_mean_variance_matches_two_passes():
