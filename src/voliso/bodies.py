@@ -97,6 +97,18 @@ def json_number(value, what: str) -> float:
     return float(value)
 
 
+def require_finite_rows(what: str, **columns) -> None:
+    """ValueError naming the first row of the row-aligned arrays ``columns``
+    that holds a NaN or an infinity: "facet row 1 is not finite: normal
+    [0.0, 1.0], offset nan" for ``what="facet", normal=A, offset=b``."""
+    if all(np.isfinite(a).all() for a in columns.values()):
+        return
+    row = int(np.argmin(np.logical_and.reduce(
+        [np.isfinite(a).reshape(len(a), -1).all(axis=1) for a in columns.values()])))
+    raise ValueError(f"{what} row {row} is not finite: " + ", ".join(
+        f"{name} {np.asarray(a[row]).tolist()}" for name, a in columns.items()))
+
+
 def _check_bounded(normals):
     """Boundedness of {Ax <= b} with b > 0 and unit rows of A.
 
@@ -131,11 +143,7 @@ class HPolytope:
             raise ValueError("normals and offsets shapes do not match")
         if A.shape[1] < 2:
             raise ValueError("dimension must be >= 2")
-        finite = np.isfinite(A).all(axis=1) & np.isfinite(b)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise ValueError(f"facet row {row} is not finite: normal "
-                             f"{A[row].tolist()}, offset {b[row]}")
+        require_finite_rows("facet", normal=A, offset=b)
         norms = np.linalg.norm(A, axis=1)
         if np.any(norms < 1e-300):
             raise ValueError("zero normal vector")
@@ -186,6 +194,7 @@ class VPolytope:
         n = V.shape[1]
         if n < 2:
             raise ValueError("dimension must be >= 2")
+        require_finite_rows("vertex", coordinates=V)
         if V.shape[0] < n + 1:
             raise DegenerateBodyError("too few vertices for a full-dimensional body")
         try:

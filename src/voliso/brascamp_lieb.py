@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import json_fields, json_number, json_numbers
+from .bodies import json_fields, json_number, json_numbers, require_finite_rows
 from .measures import Estimate, McParams
-from .sampling import StudentTProposal, RunningMean, map_batches, row_blocks
+from .sampling import StudentTProposal, sample_mean
 
 # largest |sum c_i u_i| that lift_to_cone accepts as centered
 _BARYCENTER_TOL = 1e-8
@@ -37,10 +37,9 @@ class BLSystem:
     The one type for the paper's central object: John's contact points with
     their weights (``john.john_decomposition``), the data of the
     Brascamp-Lieb inequality, and the vectors and weights of a weighted
-    l_p gauge (``lp_spaces.WeightedLpGauge``).  Construction checks only
-    shapes, unit length and weight positivity; how well the identity holds
-    is what the residual methods report, so deliberately perturbed systems
-    can be inspected.
+    l_p gauge (``lp_spaces.WeightedLpGauge``).  Construction checks shapes,
+    finiteness, unit length and weight positivity only; the residual methods
+    report how well the identity holds, so perturbed systems can be inspected.
     """
 
     vectors: np.ndarray
@@ -51,6 +50,7 @@ class BLSystem:
         c = np.asarray(weights, dtype=float).ravel()
         if U.shape[0] != c.shape[0]:
             raise ValueError("one weight per vector required")
+        require_finite_rows("system", vector=U, weight=c)
         norms = np.linalg.norm(U, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("vectors must have unit length")
@@ -231,15 +231,14 @@ def bl_ratio(system: BLSystem, densities, mc: McParams) -> Estimate:
     The left side is importance-sampled with a product Student-t proposal
     (heavy tails keep the weight variance finite for every tagged density
     family, exponential ones included); the right side uses the densities'
-    exact integrals.  The batches run on the thread pool of
-    ``sampling.map_batches``: batch 0 on ``np.random.default_rng(mc.seed)``,
-    batch k >= 1 on a stream spawned from ``mc.seed``.  A block of rows
-    X is evaluated as one fused integrand over D = U X^T, one row per
-    density: the log numerator is the sum of ((c alpha) t + c beta) t over
-    the densities' quadratic log forms (``Density1D.log_quadratic``) plus
-    c log f(t) of every table, and rows outside some density's support
-    weigh 0.  For a valid system the estimate never exceeds
-    1 + 3 std_error up to Monte Carlo noise.
+    exact integrals.  The mean is ``sampling.sample_mean``'s: batch 0 on
+    ``np.random.default_rng(mc.seed)``, batch k >= 1 on a stream spawned
+    from ``mc.seed``.  A block of rows X is evaluated as one fused
+    integrand over D = U X^T, one row per density: the log numerator is the
+    sum of ((c alpha) t + c beta) t over the densities' quadratic log forms
+    (``Density1D.log_quadratic``) plus c log f(t) of every table, and rows
+    outside some density's support weigh 0.  For a valid system the
+    estimate never exceeds 1 + 3 std_error up to Monte Carlo noise.
     """
     densities = list(densities)
     if len(densities) != system.size:
@@ -257,33 +256,27 @@ def bl_ratio(system: BLSystem, densities, mc: McParams) -> Estimate:
     upper = [(i, form[3]) for i, form in enumerate(forms)
              if form is not None and form[3] < math.inf]
 
-    def evaluate(X):
-        out = np.zeros(len(X))
-        for lo, hi in row_blocks(len(X)):
-            block = X[lo:hi]
-            D = U @ block.T                      # (m, rows)
-            log_h = np.zeros(hi - lo)
-            for i, ca, cb in terms:
-                term = ca * D[i]
-                term += cb
-                term *= D[i]
-                log_h += term
-            for i, f in tables:
-                # 0^c := 0 for c > 0: -inf * c stays -inf, exp gives 0
-                log_h += c[i] * f.log_density(D[i])
-            log_h -= log_rhs
-            log_h -= proposal.logpdf(block)
-            inside = np.ones(hi - lo, dtype=bool)
-            for i, bound in lower:
-                inside &= D[i] >= bound
-            for i, bound in upper:
-                inside &= D[i] <= bound
-            np.exp(log_h, out=out[lo:hi], where=inside)
-        return out
+    def integrand(X):
+        D = U @ X.T                              # (m, rows)
+        log_h = np.zeros(len(X))
+        for i, ca, cb in terms:
+            term = ca * D[i]
+            term += cb
+            term *= D[i]
+            log_h += term
+        for i, f in tables:
+            # 0^c := 0 for c > 0: -inf * c stays -inf, exp gives 0
+            log_h += c[i] * f.log_density(D[i])
+        log_h -= log_rhs
+        log_h -= proposal.logpdf(X)
+        inside = np.ones(len(X), dtype=bool)
+        for i, bound in lower:
+            inside &= D[i] >= bound
+        for i, bound in upper:
+            inside &= D[i] <= bound
+        return np.exp(log_h, out=np.zeros(len(X)), where=inside)
 
-    acc = RunningMean()
-    for values in map_batches(mc.seed, proposal.sample, evaluate, mc.sample_count):
-        acc.add(values)
+    acc = sample_mean(mc.seed, proposal.sample, integrand, mc.sample_count)
     return Estimate(acc.mean, acc.std_error, mc.sample_count)
 
 

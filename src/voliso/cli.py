@@ -284,9 +284,11 @@ def cmd_petty(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--samples", type=int, default=_SAMPLES)
+def _add_common(sub, seed=True, samples=True):
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
+    if samples:
+        sub.add_argument("--samples", type=int, default=_SAMPLES)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     john.add_argument("--input", required=True, help="polytope file")
     john.add_argument("--symmetric", action="store_true",
                       help="treat the body as origin-symmetric")
-    _add_common(john)
+    _add_common(john, seed=False, samples=False)
 
     reviso = subs.add_parser("reviso", help="isoperimetric quotients of "
                                             "random John-positioned bodies")
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     family.add_argument("--include-simplex", action="store_true",
                         help="inject the extremal regular simplex as body 0 "
                              "(not symmetric, so not with --symmetric)")
-    _add_common(reviso)
+    _add_common(reviso, samples=False)
 
     lp = subs.add_parser("lp", help="volume ratio of a subspace of l_p^m")
     lp.add_argument("--input", required=True, help="subspace file")

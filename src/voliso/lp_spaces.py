@@ -21,12 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bodies import json_fields, json_number, json_numbers, unit_ball_volume
+from .bodies import (json_fields, json_number, json_numbers, require_finite_rows,
+                     unit_ball_volume)
 from .brascamp_lieb import BLSystem
 from .errors import GaugeError, SolverError
 from .measures import Estimate, McParams
-from .sampling import (StudentTProposal, RunningMean, map_batches, matmul_rows,
-                       row_blocks, sphere_points)
+from .sampling import StudentTProposal, sample_mean, sphere_points
 
 L1_VR_LIMIT = math.sqrt(2.0 * math.e / math.pi)
 
@@ -94,8 +94,8 @@ class WeightedLpGauge:
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dots = np.abs(matmul_rows(pts, self.system.vectors.T))
-        return matmul_rows(dots ** self.p, self.system.weights) ** (1.0 / self.p)
+        dots = np.abs(pts @ self.system.vectors.T)
+        return (dots ** self.p @ self.system.weights) ** (1.0 / self.p)
 
     def bounding_radius(self) -> float:
         """Rigorous R with {gauge <= 1} contained in R * unit ball.
@@ -115,10 +115,10 @@ def gauge_integral_volume(gauge: WeightedLpGauge, mc: McParams) -> Estimate:
 
     Estimates Gamma(1+n/p)^{-1} * integral e^{-gauge(x)^p} dx with a product
     Student-t proposal scaled to the ball's radii.  The probe directions
-    and batch 0 read ``np.random.default_rng(mc.seed)``; the batches of
-    ``sampling.map_batches`` run on its thread pool, batch k >= 1 on a
-    stream spawned from ``mc.seed``.  Raises GaugeError when sampled gauge
-    values put the ball beyond ``gauge.bounding_radius()``.
+    and batch 0 of ``sampling.sample_mean`` read
+    ``np.random.default_rng(mc.seed)``, batch k >= 1 a stream spawned from
+    ``mc.seed``.  Raises GaugeError when sampled gauge values put the ball
+    beyond ``gauge.bounding_radius()``.
     """
     n, p, bound = gauge.dim, gauge.p, gauge.bounding_radius()
     rng = np.random.default_rng(mc.seed)
@@ -134,18 +134,10 @@ def gauge_integral_volume(gauge: WeightedLpGauge, mc: McParams) -> Estimate:
     scale = float(np.median(radii)) * max(1.0, (n / p) ** (1.0 / p)) * 1.3
     proposal = StudentTProposal(dim=n, scale=scale)
 
-    def evaluate(X):
-        out = np.empty(len(X))
-        for lo, hi in row_blocks(len(X)):
-            block = X[lo:hi]
-            values = np.asarray(gauge(block), dtype=float)
-            out[lo:hi] = np.exp(-values ** p - proposal.logpdf(block))
-        return out
+    def integrand(X):
+        return np.exp(-gauge(X) ** p - proposal.logpdf(X))
 
-    acc = RunningMean()
-    for values in map_batches(mc.seed, proposal.sample, evaluate,
-                              mc.sample_count, rng):
-        acc.add(values)
+    acc = sample_mean(mc.seed, proposal.sample, integrand, mc.sample_count, rng)
     norm = math.exp(-math.lgamma(1.0 + n / p))
     return Estimate(norm * acc.mean, norm * acc.std_error, mc.sample_count)
 
@@ -215,6 +207,7 @@ class SubspaceSpec:
         M = np.atleast_2d(np.asarray(basis, dtype=float))
         if M.shape[0] < M.shape[1]:
             raise ValueError("basis must be m x n with m >= n")
+        require_finite_rows("basis", entries=M)
         if np.linalg.matrix_rank(M) < M.shape[1]:
             raise ValueError("basis must have full column rank")
         if not (1.0 <= p < math.inf):

@@ -10,9 +10,10 @@ Gram-Schmidt step from that of the face on one facet fewer, with no matrix
 factorization; any other body sums the simplices of qhull's triangulation of
 its vertices, |det [edges; a_i]| / (n - 1)! each, per facet.  The Monte
 Carlo quantities here are spherical means of shadows (Cauchy's surface area,
-Petty's functional), seeded, batched, and reported with standard errors; the
-one Monte Carlo volume is that of a gauge ball,
-``lp_spaces.gauge_integral_volume``.
+Petty's functional): each hands the one Monte Carlo loop,
+``sampling.sample_mean``, a shadow integrand over a block of directions and
+reports the mean with its standard error, as the gauge-ball volume
+``lp_spaces.gauge_integral_volume`` does with its own integrand.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .bodies import VPolytope, unit_ball_volume
-from .sampling import RunningMean, map_batches, row_blocks, sphere_points
+from .sampling import sample_mean, sphere_points
 
 
 @dataclass(frozen=True)
@@ -90,28 +91,22 @@ def projection_area(V: VPolytope, theta, mc: McParams | None = None) -> float:
 
 def _shadows(V: VPolytope, thetas: np.ndarray) -> np.ndarray:
     """Cauchy's projection formula: the shadow along a unit theta is half the
-    facet areas weighted by |<facet normal, theta>|, one row block at a time."""
-    areas, normals = V._facet_areas, V._equations[:, :-1]
-    out = np.empty(len(thetas))
-    for lo, hi in row_blocks(len(thetas)):
-        out[lo:hi] = np.abs(thetas[lo:hi] @ normals.T) @ areas
-    return 0.5 * out
+    facet areas weighted by |<facet normal, theta>|."""
+    return 0.5 * (np.abs(thetas @ V._equations[:, :-1].T) @ V._facet_areas)
 
 
 def cauchy_surface_area(V: VPolytope, mc: McParams) -> Estimate:
     """Surface area from the spherical mean of shadow areas.
 
     |boundary| = (n v_n / v_{n-1}) * mean over uniform theta of |shadow|.
-    The batches run on the thread pool of ``sampling.map_batches``: batch 0
-    on ``np.random.default_rng(mc.seed)``, batch k >= 1 on a stream spawned
+    The mean is ``sampling.sample_mean``'s: batch 0 on
+    ``np.random.default_rng(mc.seed)``, batch k >= 1 on a stream spawned
     from ``mc.seed``.
     """
     n = V.dim
     factor = n * unit_ball_volume(n) / unit_ball_volume(n - 1)
-    acc = RunningMean()
-    for shadows in map_batches(mc.seed, partial(sphere_points, dim=n),
-                               partial(_shadows, V), mc.sample_count):
-        acc.add(shadows)
+    acc = sample_mean(mc.seed, partial(sphere_points, dim=n),
+                      partial(_shadows, V), mc.sample_count)
     return Estimate(factor * acc.mean, factor * acc.std_error, mc.sample_count)
 
 
@@ -125,11 +120,9 @@ def petty_functional(V: VPolytope, mc: McParams) -> Estimate:
     """
     n = V.dim
     vol = polytope_volume(V)
-    acc = RunningMean()
-    for values in map_batches(mc.seed, partial(sphere_points, dim=n),
-                              lambda thetas: _shadows(V, thetas) ** (-float(n)),
-                              mc.sample_count):
-        acc.add(values)
+    acc = sample_mean(mc.seed, partial(sphere_points, dim=n),
+                      lambda thetas: _shadows(V, thetas) ** (-float(n)),
+                      mc.sample_count)
     inner = acc.mean
     value = (vol ** (n - 1) * inner) ** (-1.0 / n)
     se = value * acc.std_error / (n * inner)

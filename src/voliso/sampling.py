@@ -1,17 +1,18 @@
 """Seeded Monte Carlo plumbing: proposals, batching, running estimates.
 
-Every estimator in the package splits its ``sample_count`` into batches of a
-fixed size, ``BATCH``, the last one short, and ``map_batches`` runs them.
-Batch 0 reads the estimator's own PCG64 generator, seeded by ``seed``, so an
-estimate of one batch draws the same variates as a single stream would.
-Batch k >= 1 reads a PCG64 stream of its own, seeded by the k-th child of
-``np.random.SeedSequence(seed).spawn(batches - 1)``.  Each batch is drawn
-and evaluated on a thread pool of min(batches, available CPUs) threads, and
-the per-batch results reach the caller in batch order, so the variates and
-the float sums over them are fixed by the seed and the sample count: an
-estimate depends only on (seed, sample_count), whatever the thread count.
-Each call owns its generators and its pool, so estimators stay safe to call
-concurrently.
+Every estimator in the package is the mean of an integrand that
+``sample_mean`` takes over ``sample_count`` draws in batches of ``BATCH``,
+the last one short.  Batch 0 reads the estimator's own PCG64 generator,
+seeded by ``seed``, so an estimate of one batch draws the same variates as
+a single stream would.  Batch k >= 1 reads a PCG64 stream of its own, seeded
+by the k-th child of ``np.random.SeedSequence(seed).spawn(batches - 1)``.
+``map_batches`` draws and evaluates each batch on a thread pool of
+min(batches, available CPUs) threads, the integrand one ROW_BLOCK of rows
+at a time, and the batches are folded into a ``RunningMean`` in batch
+order, so the variates and the float sums over them are fixed by the seed
+and the sample count: an estimate depends only on (seed, sample_count),
+whatever the thread count.  Each call owns its generators and its pool, so
+estimators stay safe to call concurrently.
 
 ``StudentTProposal`` draws a batch of ``count`` rows from its stream as three
 (count, dim) arrays in turn, uniforms U1, uniforms U2 and normals Z, and
@@ -102,12 +103,20 @@ def row_blocks(rows: int):
     return zip(bounds, bounds[1:])
 
 
-def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a 2-D ``a``, computed one row block at a time."""
-    out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
-    for lo, hi in row_blocks(a.shape[0]):
-        np.matmul(a[lo:hi], b, out=out[lo:hi])
-    return out
+def sample_mean(seed: int, draw, integrand, total: int, rng=None) -> RunningMean:
+    """RunningMean of ``integrand`` over the batches of ``map_batches(seed,
+    draw, ..., total, rng)``; ``integrand`` maps each ``row_blocks`` block of
+    a batch to one value per row, written into one array per batch."""
+    def evaluate(X):
+        out = np.empty(len(X))
+        for lo, hi in row_blocks(len(X)):
+            out[lo:hi] = integrand(X[lo:hi])
+        return out
+
+    acc = RunningMean()
+    for values in map_batches(seed, draw, evaluate, total, rng):
+        acc.add(values)
+    return acc
 
 
 def sphere_points(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:

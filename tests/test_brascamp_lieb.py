@@ -8,7 +8,7 @@ from voliso import (BLSystem, Density1D, McParams, bl_ratio, cube_volume_bound,
                     lift_to_cone, polytope_volume, reverse_isoperimetric_constant,
                     simplex_volume_bound, vrep_from_hrep)
 from voliso.brascamp_lieb import random_system
-from voliso import brascamp_lieb
+from voliso import sampling
 from voliso.sampling import RunningMean, StudentTProposal
 from voliso.shapes import regular_simplex, simplex_contact_directions
 
@@ -190,7 +190,7 @@ class TestFusedIntegrand:
                 added.append(np.array(values))
                 super().add(values)
 
-        monkeypatch.setattr(brascamp_lieb, "RunningMean", Recorded)
+        monkeypatch.setattr(sampling, "RunningMean", Recorded)
         count = 20_000
         est = bl_ratio(system, densities, McParams(count, seed=9))
         got, = added

@@ -97,6 +97,15 @@ class TestJohnCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: facet row 1 is not finite")
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_vertex_exits_2(self, capsys, tmp_path, value):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 2, "kind": "V", "rows": [[0, 0], [1, 0], '
+                        '[0, %s]]}' % value)
+        code, out, err = run(capsys, ["john", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: vertex row 2 is not finite")
+
     @pytest.mark.parametrize("data, message", [
         ({"dim": [2], "kind": "H", "rows": [[1, 0, 1], [0, 1, 1], [-1, -1, 1]]},
          "polytope dim must be a number, not list"),
@@ -208,6 +217,19 @@ class TestRevisoCommand:
         assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ["john", "--seed", "1"], ["john", "--samples", "1000"],
+    ["reviso", "--n", "2", "--count", "1", "--samples", "1000"]],
+    ids=["john-seed", "john-samples", "reviso-samples"])
+def test_flag_the_command_does_not_read_exits_2(capsys, cube_file, argv):
+    if argv[0] == "john":
+        argv = argv + ["--input", cube_file]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestLpCommand:
     def test_canonical_l1(self, capsys, tmp_path):
         path = tmp_path / "sub.json"
@@ -251,6 +273,15 @@ class TestLpCommand:
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, ["lp", "--input", str(path)])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_basis_row_exits_2(self, capsys, tmp_path, value):
+        path = tmp_path / "sub.json"
+        path.write_text('{"m": 3, "n": 2, "p": 1.5, '
+                        '"basis": [[1, 0], [%s, 1], [1, 1]]}' % value)
+        code, out, err = run(capsys, ["lp", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: basis row 1 is not finite")
 
     def test_one_lewis_solve_per_call(self, capsys, monkeypatch, tmp_path):
         import voliso.cli as cli
@@ -328,6 +359,21 @@ class TestBlCommand:
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, ["bl", "--input", str(path)])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("vectors, weights, row", [
+        ("[[1, 0], [0, 1]]", "[NaN, 1]", 0),
+        ("[[1, 0], [NaN, 1]]", "[1, 1]", 1),
+        ("[[1, 0], [0, 1]]", "[1, Infinity]", 1)])
+    def test_non_finite_system_row_exits_2(self, capsys, tmp_path, vectors,
+                                           weights, row):
+        # a NaN used to pass the unit-length and positivity checks and
+        # report an all-NaN ratio with the bound-violation code
+        path = tmp_path / "system.json"
+        path.write_text('{"dim": 2, "vectors": %s, "weights": %s}'
+                        % (vectors, weights))
+        code, out, err = run(capsys, ["bl", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: system row {row} is not finite")
 
     @pytest.mark.parametrize("densities, message", [
         ({"tag": "gaussian"}, "densities must be a JSON list, not dict"),

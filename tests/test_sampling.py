@@ -20,7 +20,7 @@ from voliso import (BLSystem, Density1D, McParams, SubspaceSpec, WeightedLpGauge
 from voliso import sampling
 from voliso.brascamp_lieb import random_system
 from voliso.sampling import (BATCH, ROW_BLOCK, RunningMean, StudentTProposal,
-                             map_batches, matmul_rows, sphere_points)
+                             map_batches, sample_mean, sphere_points)
 from voliso.shapes import cross_polytope, cube_vertices, regular_polygon
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -268,15 +268,57 @@ def test_concurrent_calls_give_their_sequential_estimates():
     assert [got[s] for s in seeds] == expected
 
 
-@pytest.mark.parametrize("rows", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + 2,
-                                  3 * ROW_BLOCK + 1, 3 * ROW_BLOCK + 5])
-def test_matmul_rows_matches_one_product(rows):
-    rng = np.random.default_rng(rows)
-    a = rng.standard_normal((rows, 7))
-    b = rng.standard_normal((3, 7))
-    c = rng.standard_normal(7)
-    assert np.array_equal(matmul_rows(a, b.T), a @ b.T)
-    assert np.array_equal(matmul_rows(a, c), a @ c)
+def _column(rng, size):
+    return rng.uniform(size=(size, 1))
+
+
+@pytest.mark.parametrize("total", [1, ROW_BLOCK + 1, BATCH + 1, 3 * BATCH + 17])
+def test_sample_mean_hands_the_integrand_row_blocks_in_order(total, monkeypatch):
+    # one CPU, so the blocks are recorded in the order they are evaluated
+    monkeypatch.setattr(sampling, "available_cpus", lambda: 1)
+    blocks, added = [], []
+
+    class Recorded(RunningMean):
+        def add(self, values):
+            added.append(np.array(values))
+            super().add(values)
+
+    monkeypatch.setattr(sampling, "RunningMean", Recorded)
+
+    def integrand(X):
+        blocks.append(X[:, 0].copy())
+        return X[:, 0]
+
+    acc = sample_mean(5, _column, integrand, total)
+    batches = [X[:, 0] for X in map_batches(5, _column, _identity, total)]
+    # each batch is cut into blocks of at most ROW_BLOCK rows, or ROW_BLOCK + 1
+    # when it ends one row past a block, and never ends on a one-row block
+    # after a longer one
+    sizes = [len(b) for b in blocks]
+    start = 0
+    for batch in batches:
+        stop, rows = start, 0
+        while rows < len(batch):
+            rows += sizes[stop]
+            stop += 1
+        assert rows == len(batch)
+        inner = sizes[start:stop]
+        limit = ROW_BLOCK + (len(batch) % ROW_BLOCK == 1)
+        assert all(size <= limit for size in inner)
+        assert all(size <= ROW_BLOCK for size in inner[:-1])
+        assert inner[-1] > 1 or len(inner) == 1
+        start = stop
+    assert start == len(blocks)
+    # the blocks tile the batches in order, and their values come back to
+    # their rows: each batch array folded is the batch itself
+    assert np.array_equal(np.concatenate(blocks), np.concatenate(batches))
+    assert len(added) == len(batches)
+    assert all(np.array_equal(a, b) for a, b in zip(added, batches))
+    expected = RunningMean()
+    for batch in batches:
+        expected.add(batch)
+    assert (acc.count, acc.mean, acc.std_error) == (
+        expected.count, expected.mean, expected.std_error)
 
 
 def test_logpdf_matches_the_sum_of_log1p():
