@@ -1,9 +1,12 @@
 """Command-line front end: fixtures, random-body batches, and reports.
 
 Exit codes follow a CI-friendly contract: 0 on pass, 1 when an estimate
-violates the relevant bound, 2 on input or solver errors.  Every report
-embeds the resolved configuration (flags, seeds, tolerances), and repeated
-runs with identical flags produce byte-identical output.
+violates the relevant bound, 2 on input or solver errors.  Each
+``cmd_<command>`` returns its report as a plain dict; ``main`` alone writes
+it and maps its ``passed`` entry (true when absent) to exit code 0 or 1.
+Every report embeds the resolved configuration (flags, seeds, tolerances)
+as its ``config`` dict, and repeated runs with identical flags produce
+byte-identical output.
 """
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,33 +37,6 @@ from .measures import (McParams, cauchy_surface_area,
 PASS, BOUND_VIOLATION, INPUT_ERROR = 0, 1, 2
 _REL_TOL = 1e-6
 _SAMPLES = 200_000      # default --samples
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved invocation recorded in every report.
-
-    The seed is always present, and two runs with equal configs produce
-    byte-identical output files.
-    """
-
-    command: str
-    source: str | None = None
-    n: int | None = None
-    count: int | None = None
-    seed: int | None = None
-    samples: int | None = None
-    symmetric: bool | None = None
-    extras: tuple = ()
-
-    def to_dict(self) -> dict:
-        data = {"command": self.command}
-        for key in ("source", "n", "count", "seed", "samples", "symmetric"):
-            value = getattr(self, key)
-            if value is not None:
-                data["input" if key == "source" else key] = value
-        data.update(dict(self.extras))
-        return data
 
 
 def _scalar(obj):
@@ -110,7 +85,7 @@ def _mc_params(args) -> McParams:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_john(args) -> int:
+def cmd_john(args) -> dict:
     body = read_polytope(args.input)
     shift = None
     if not isinstance(body, HPolytope):
@@ -130,10 +105,9 @@ def cmd_john(args) -> int:
         transform = ellipsoid.as_map().inverse()
     contacts = contact_points(image)
     decomposition = john_decomposition(contacts, symmetric=args.symmetric)
-    config = ExperimentConfig(command="john", source=args.input,
-                              symmetric=args.symmetric)
-    report = {
-        "config": config.to_dict(),
+    return {
+        "config": {"command": "john", "input": args.input,
+                   "symmetric": args.symmetric},
         "ellipsoid": {"shape": ellipsoid.shape.tolist(),
                       "center": ellipsoid.center.tolist(),
                       "volume": ellipsoid.volume},
@@ -150,11 +124,9 @@ def cmd_john(args) -> int:
             "barycenter": decomposition.barycenter_norm(),
         },
     }
-    _emit(report, args.format, args.out)
-    return PASS
 
 
-def cmd_reviso(args) -> int:
+def cmd_reviso(args) -> dict:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, not {args.count}")
     constant = reverse_isoperimetric_constant(args.n, args.symmetric)
@@ -174,45 +146,38 @@ def cmd_reviso(args) -> int:
         rows.append({"body": label, "facets": body.num_facets,
                      "volume": volume, "quotient": quotient})
     worst = max(row["quotient"] for row in rows)
-    config = ExperimentConfig(
-        command="reviso", n=args.n, count=args.count, seed=args.seed,
-        symmetric=args.symmetric,
-        extras=(("include_simplex", args.include_simplex),
-                ("relative_tolerance", _REL_TOL)))
-    report = {
-        "config": config.to_dict(),
+    return {
+        "config": {"command": "reviso", "n": args.n, "count": args.count,
+                   "seed": args.seed, "symmetric": args.symmetric,
+                   "include_simplex": args.include_simplex,
+                   "relative_tolerance": _REL_TOL},
         "bodies": rows,
         "max_quotient": worst,
         "constant": constant,
         "passed": worst <= constant * (1.0 + _REL_TOL),
     }
-    _emit(report, args.format, args.out)
-    return PASS if report["passed"] else BOUND_VIOLATION
 
 
-def cmd_lp(args) -> int:
+def cmd_lp(args) -> dict:
     with open(args.input, "r", encoding="utf-8") as fh:
         spec = SubspaceSpec.from_dict(json.load(fh))
     lewis, estimate = _lewis_volume_ratio(spec, _mc_params(args))
     reference = lp_ball_volume_ratio(spec.n, spec.p)
-    passed = estimate.value <= reference + 3.0 * estimate.std_error
-    config = ExperimentConfig(command="lp", source=args.input, n=spec.n,
-                              seed=args.seed, samples=args.samples,
-                              extras=(("m", spec.m), ("p", spec.p)))
     report = {
-        "config": config.to_dict(),
+        "config": {"command": "lp", "input": args.input, "n": spec.n,
+                   "m": spec.m, "p": spec.p, "seed": args.seed,
+                   "samples": args.samples},
         "lewis_residual": lewis.residual,
         "volume_ratio": estimate.to_dict(),
         "reference_vr": reference,
-        "passed": passed,
+        "passed": estimate.value <= reference + 3.0 * estimate.std_error,
     }
     if spec.p == 1.0:
         bound = l1_vr_bound(spec.n)
         report["l1_bound"] = {"exact": bound.exact, "limit": L1_VR_LIMIT}
-        report["passed"] = passed = passed and (
+        report["passed"] = report["passed"] and (
             estimate.value <= bound.exact + 3.0 * estimate.std_error)
-    _emit(report, args.format, args.out)
-    return PASS if passed else BOUND_VIOLATION
+    return report
 
 
 def _parse_densities(arg: str | None, count: int) -> list:
@@ -231,29 +196,25 @@ def _parse_densities(arg: str | None, count: int) -> list:
     return [Density1D.from_dict(item) for item in data]
 
 
-def cmd_bl(args) -> int:
+def cmd_bl(args) -> dict:
     with open(args.input, "r", encoding="utf-8") as fh:
         system = BLSystem.from_dict(json.load(fh))
     densities = _parse_densities(args.densities, system.size)
     estimate = bl_ratio(system, densities, _mc_params(args))
-    passed = estimate.value <= 1.0 + 3.0 * estimate.std_error
-    config = ExperimentConfig(
-        command="bl", source=args.input, seed=args.seed, samples=args.samples,
-        extras=(("densities", [f.to_dict() for f in densities]),))
-    report = {
-        "config": config.to_dict(),
+    return {
+        "config": {"command": "bl", "input": args.input, "seed": args.seed,
+                   "samples": args.samples,
+                   "densities": [f.to_dict() for f in densities]},
         "decomposition": {"frobenius_residual": system.frobenius_residual(),
                           "trace_gap": system.trace_gap(),
                           "barycenter_norm": system.barycenter_norm()},
         "ratio": estimate.to_dict(),
         "bound": 1.0,
-        "passed": passed,
+        "passed": estimate.value <= 1.0 + 3.0 * estimate.std_error,
     }
-    _emit(report, args.format, args.out)
-    return PASS if passed else BOUND_VIOLATION
 
 
-def cmd_petty(args) -> int:
+def cmd_petty(args) -> dict:
     body = read_polytope(args.input)
     vertices = body if not isinstance(body, HPolytope) else vrep_from_hrep(body)
     n = vertices.dim
@@ -266,18 +227,15 @@ def cmd_petty(args) -> int:
     ball_value = unit_ball_volume(n - 1) * unit_ball_volume(n) ** (-(n - 1.0) / n)
     cauchy_ok = abs(cauchy.value - exact_surface) <= 3.0 * cauchy.std_error
     petty_ok = petty.value >= ball_value - 3.0 * petty.std_error
-    config = ExperimentConfig(command="petty", source=args.input,
-                              seed=args.seed, samples=args.samples)
-    report = {
-        "config": config.to_dict(),
+    return {
+        "config": {"command": "petty", "input": args.input,
+                   "seed": args.seed, "samples": args.samples},
         "petty": petty.to_dict(),
         "petty_ball_minimum": ball_value,
         "cauchy_surface_area": cauchy.to_dict(),
         "exact_surface_area": exact_surface,
         "passed": bool(cauchy_ok and petty_ok),
     }
-    _emit(report, args.format, args.out)
-    return PASS if report["passed"] else BOUND_VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        report = globals()[f"cmd_{args.command}"](args)
+        _emit(report, args.format, args.out)
     except (VolisoError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    return PASS if report.get("passed", True) else BOUND_VIOLATION
 
 
 def entry() -> None:

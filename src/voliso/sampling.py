@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,11 +50,14 @@ def map_batches(seed: int, draw, evaluate, total: int, rng=None):
     k >= 1 a generator of its own seeded by the k-th child of
     ``np.random.SeedSequence(seed).spawn(batches - 1)``.  With more than one
     batch and more than one CPU the batches run on a thread pool of
-    min(batches, available_cpus()) threads, at most one batch per thread in
-    flight; otherwise they run in turn on the calling thread, which starts
-    no thread.  The pool is joined before the generator returns, and when
-    the caller stops early or raises; an error inside ``draw`` or
-    ``evaluate`` reaches the caller.
+    min(batches, available_cpus()) threads, with one batch queued beyond
+    the threads' own, so a thread that finishes early starts the next batch
+    while the caller waits on an earlier one; the next is queued when the
+    caller asks for a batch, so at most threads + 1 are not yet collected.
+    Otherwise they run in turn on the calling thread, which starts no
+    thread.  The pool is joined before the generator returns, and when the
+    caller stops early or raises, which cancels the queued batches; an error
+    inside ``draw`` or ``evaluate`` reaches the caller.
     """
     sizes = [min(BATCH, total - done) for done in range(0, total, BATCH)]
     if not sizes:
@@ -70,20 +72,18 @@ def map_batches(seed: int, draw, evaluate, total: int, rng=None):
 
     workers = min(len(sizes), available_cpus())
     if workers == 1:
-        for k in range(len(sizes)):
-            yield run(k)
+        yield from map(run, range(len(sizes)))
         return
+    ahead = workers + 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(run, k) for k in range(workers))
+        futures = {k: pool.submit(run, k) for k in range(min(ahead, len(sizes)))}
         try:
-            for k in range(workers, len(sizes) + workers):
-                result = pending.popleft().result()
-                if k < len(sizes):
-                    pending.append(pool.submit(run, k))
-                yield result
+            for k in range(len(sizes)):
+                yield futures.pop(k).result()
+                if k + ahead < len(sizes):
+                    futures[k + ahead] = pool.submit(run, k + ahead)
         finally:
-            for future in pending:
-                future.cancel()
+            pool.shutdown(cancel_futures=True)
 
 
 # OpenBLAS spreads a product with many rows over its own threads, which then

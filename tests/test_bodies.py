@@ -11,7 +11,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from voliso import (AffineMap, DegenerateBodyError, HPolytope, UnboundedBodyError,
                     VPolytope, apply_affine, bodies, hrep_from_vrep,
-                    polytope_from_dict, polytope_to_dict, polytope_volume,
+                    john_position, polytope_from_dict, polytope_to_dict, polytope_volume,
                     read_polytope, unit_ball_volume, vrep_from_hrep,
                     write_polytope)
 from voliso.shapes import (cube, cube_vertices, cross_polytope, random_polytope,
@@ -332,3 +332,17 @@ class TestHullRoundTrip:
             assert np.abs(back.vertices - V.vertices).max() <= 1e-12
             assert polytope_volume(back) == pytest.approx(
                 ConvexHull(pts).volume, rel=1e-12, abs=0)
+
+    def test_symmetric_john_body_vertex_list_comes_back(self):
+        # body 2 of this draw once raised QH6271 (dupridge) from the hull of
+        # its 880 vertices, so it could not be written as a V-file and read
+        # back; the facet and vertex counts pin the draw
+        rng = np.random.default_rng([5, True, 4242])
+        body = [random_polytope(5, rng, symmetric=True) for _ in range(3)][2]
+        assert body.num_facets == 56
+        V = vrep_from_hrep(john_position(body)[0])
+        back = VPolytope(V.vertices)
+        assert back.num_vertices == V.num_vertices == 880
+        assert np.array_equal(back.vertices, V.vertices)
+        assert polytope_volume(back) == pytest.approx(
+            polytope_volume(V), rel=1e-12, abs=0)

@@ -420,6 +420,46 @@ class TestPettyCommand:
         assert report["config"]["samples"] == 20000
 
 
+@pytest.mark.parametrize("command, flags, keys", [
+    ("john", ["--symmetric"], {"command", "input", "symmetric"}),
+    ("reviso", ["--n", "2", "--count", "1"],
+     {"command", "n", "count", "seed", "symmetric", "include_simplex",
+      "relative_tolerance"}),
+    ("lp", [], {"command", "input", "n", "m", "p", "seed", "samples"}),
+    ("bl", [], {"command", "input", "seed", "samples", "densities"}),
+    ("petty", [], {"command", "input", "seed", "samples"}),
+])
+def test_config_keys_of_every_command(capsys, cube_file, square_system_file,
+                                      tmp_path, command, flags, keys):
+    subspace = tmp_path / "sub.json"
+    subspace.write_text(json.dumps({"m": 2, "n": 2, "p": 1.0,
+                                    "basis": [[1, 0], [0, 1]]}))
+    inputs = {"john": cube_file, "lp": str(subspace),
+              "bl": square_system_file, "petty": cube_file}
+    argv = [command] + flags
+    if command in inputs:
+        argv += ["--input", inputs[command]]
+    if command in ("lp", "bl", "petty"):
+        argv += ["--samples", "2000"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert set(config) == keys
+    assert config["command"] == command
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("john", []), ("petty", ["--samples", "2000"])])
+def test_unwritable_out_exits_2(capsys, cube_file, tmp_path, command, flags):
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, [command, "--input", cube_file,
+                                  "--out", str(out_path)] + flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_path.parent.exists()
+
+
 class TestParserReuse:
     def test_one_parser_per_process(self, capsys, cube_file):
         import voliso.cli as cli

@@ -241,6 +241,26 @@ def test_worker_is_joined_when_caller_stops_early(monkeypatch):
     assert len(evaluated) <= 3
 
 
+def test_a_free_thread_takes_the_next_batch(monkeypatch):
+    # batch 0 waits for batch 2 to be drawn: on two threads, the thread that
+    # finished batch 1 has to start batch 2 while batch 0 is still running
+    monkeypatch.setattr(sampling, "available_cpus", lambda: 2)
+    rng = np.random.default_rng(0)
+    batch_two_drawn = threading.Event()
+    waited = []
+
+    def draw(stream, size):
+        if stream is rng:
+            waited.append(batch_two_drawn.wait(5.0))
+        elif size == 1:
+            batch_two_drawn.set()
+        return stream.uniform(size=size)
+
+    sizes = [len(b) for b in map_batches(0, draw, _identity, 2 * BATCH + 1, rng)]
+    assert sizes == [BATCH, BATCH, 1]
+    assert waited == [True]
+
+
 def test_concurrent_calls_give_their_sequential_estimates():
     # more callers than cores, each with its own pool, switching threads
     # often: every call must still read its own streams
