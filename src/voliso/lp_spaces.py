@@ -330,12 +330,16 @@ def inscribed_radius_check(gauge: WeightedLpGauge) -> float:
 
 
 def subspace_volume_ratio(spec: SubspaceSpec, mc: McParams) -> Estimate:
-    """Volume ratio of a subspace of l_p^m, via Lewis position.
+    """Upper bound on the volume ratio of a subspace of l_p^m, via Lewis
+    position.
 
     Puts the subspace in Lewis position, estimates the unit-ball volume by
     the gauge integral, and divides by the guaranteed inscribed ball of
-    radius min(1, n^{1/2-1/p}); the result never exceeds the volume ratio
-    of l_p^n beyond Monte Carlo noise.
+    radius min(1, n^{1/2-1/p}).  That ball is not John's ellipsoid, so the
+    result is the Lewis-ball quotient, an upper bound on the volume ratio,
+    not the ratio itself: on ``tests/data/subspace_p1.json`` it is 1.116
+    against 1.0708 from John's ellipsoid of the exact ball.  It never
+    exceeds the volume ratio of l_p^n beyond Monte Carlo noise.
     """
     return _lewis_volume_ratio(spec, mc)[1]
 

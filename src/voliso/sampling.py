@@ -6,18 +6,19 @@ the last one short.  Batch 0 reads the estimator's own PCG64 generator,
 seeded by ``seed``, so an estimate of one batch draws the same variates as
 a single stream would.  Batch k >= 1 reads a PCG64 stream of its own, seeded
 by the k-th child of ``np.random.SeedSequence(seed).spawn(batches - 1)``.
-``map_batches`` draws and evaluates each batch on a thread pool of
-min(batches, available CPUs) threads, the integrand one ROW_BLOCK of rows
-at a time, and the batches are folded into a ``RunningMean`` in batch
-order, so the variates and the float sums over them are fixed by the seed
-and the sample count: an estimate depends only on (seed, sample_count),
-whatever the thread count.  Each call owns its generators and its pool, so
-estimators stay safe to call concurrently.
+``map_batches`` runs each batch on a thread pool of min(batches, available
+CPUs) threads.  A batch draws and evaluates its ROW_BLOCK blocks of rows in
+turn on its own stream, each block just before its integrand, so no
+batch-sized array of variates is ever built.  The batches are folded into a
+``RunningMean`` in batch order, so the variates and the float sums over
+them are fixed by the seed and the sample count: an estimate depends only
+on (seed, sample_count), whatever the thread count.  Each call owns its
+generators and its pool, so estimators stay safe to call concurrently.
 
-``StudentTProposal`` draws a batch of ``count`` rows from its stream as three
-(count, dim) arrays in turn, uniforms U1, uniforms U2 and normals Z, and
-makes each t4 coordinate scale Z sqrt(-2 / log(U1 U2)): one log per
-coordinate and no rejection loop, so a batch reads a fixed number of
+``StudentTProposal`` draws a block of ``count`` rows from its stream as one
+(3, count, dim) array of uniforms and makes each t4 coordinate
+scale (2B - 1) / sqrt(B (1 - B)) from the median B of its three uniforms:
+no normal, no log and no rejection loop, so a block reads a fixed number of
 variates.
 """
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 
 BATCH = 1 << 16
 _STUDENT_DF = 4.0   # degrees of freedom of each StudentTProposal coordinate
+_SMALLEST_UNIFORM = 2.0 ** -53      # the least positive value of rng.random
 
 
 def available_cpus() -> int:
@@ -42,9 +44,9 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def map_batches(seed: int, draw, evaluate, total: int, rng=None):
-    """Yield ``evaluate(draw(stream, size))`` for ``total`` samples in
-    batches of BATCH, the last one short, in batch order.
+def map_batches(seed: int, batch, total: int, rng=None):
+    """Yield ``batch(stream, size)`` for ``total`` samples in batches of
+    BATCH, the last one short, in batch order.
 
     Batch 0 reads ``rng`` (default ``np.random.default_rng(seed)``), batch
     k >= 1 a generator of its own seeded by the k-th child of
@@ -57,7 +59,7 @@ def map_batches(seed: int, draw, evaluate, total: int, rng=None):
     Otherwise they run in turn on the calling thread, which starts no
     thread.  The pool is joined before the generator returns, and when the
     caller stops early or raises, which cancels the queued batches; an error
-    inside ``draw`` or ``evaluate`` reaches the caller.
+    inside ``batch`` reaches the caller.
     """
     sizes = [min(BATCH, total - done) for done in range(0, total, BATCH)]
     if not sizes:
@@ -68,7 +70,7 @@ def map_batches(seed: int, draw, evaluate, total: int, rng=None):
 
     def run(k):
         stream = rng if k == 0 else np.random.default_rng(children[k - 1])
-        return evaluate(draw(stream, sizes[k]))
+        return batch(stream, sizes[k])
 
     workers = min(len(sizes), available_cpus())
     if workers == 1:
@@ -104,23 +106,27 @@ def row_blocks(rows: int):
 
 
 def sample_mean(seed: int, draw, integrand, total: int, rng=None) -> RunningMean:
-    """RunningMean of ``integrand`` over the batches of ``map_batches(seed,
-    draw, ..., total, rng)``; ``integrand`` maps each ``row_blocks`` block of
-    a batch to one value per row, written into one array per batch."""
-    def evaluate(X):
-        out = np.empty(len(X))
-        for lo, hi in row_blocks(len(X)):
-            out[lo:hi] = integrand(X[lo:hi])
+    """RunningMean of ``integrand`` over ``total`` rows of ``draw``, in the
+    batches of ``map_batches(seed, ..., total, rng)``.  Each batch takes its
+    ``row_blocks`` in turn: ``draw(stream, rows)`` draws a block from the
+    batch's stream and ``integrand`` maps it to one value per row, written
+    into one array per batch."""
+    def batch(stream, size):
+        out = np.empty(size)
+        for lo, hi in row_blocks(size):
+            out[lo:hi] = integrand(draw(stream, hi - lo))
         return out
 
     acc = RunningMean()
-    for values in map_batches(seed, draw, evaluate, total, rng):
+    for values in map_batches(seed, batch, total, rng):
         acc.add(values)
     return acc
 
 
 def sphere_points(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Uniform points on S^{dim-1} from normalized standard Gaussians."""
+    """Uniform points on S^{dim-1} from normalized standard Gaussians.  The
+    normals fill the rows in turn, so blocks drawn one after another give
+    the rows of one draw of all of them."""
     x = rng.standard_normal((count, dim))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
@@ -130,36 +136,40 @@ class StudentTProposal:
     """Product of independent Student-t coordinates, used as IS proposal.
 
     Each coordinate is ``scale`` times a t variate of 4 degrees of freedom,
-    drawn from two uniforms and one normal (see ``sample``).  Polynomial
-    tails dominate every exponentially decaying integrand that appears here
-    (products of integrable densities of linear functionals, e^{-gauge^p}
-    integrands), so importance weights have finite variance and the reported
-    standard errors are honest.
+    drawn from three uniforms (see ``sample``).  Polynomial tails dominate
+    every exponentially decaying integrand that appears here (products of
+    integrable densities of linear functionals, e^{-gauge^p} integrands), so
+    importance weights have finite variance and the reported standard errors
+    are honest.
     """
 
     dim: int
     scale: float = 1.5
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` rows drawn as X = scale Z sqrt(-2 / log(U1 U2)).
+        """``count`` rows drawn as X = scale (2B - 1) / sqrt(B (1 - B)).
 
-        A t4 variate is Z / sqrt(V) with V = chi2_4 / 4 = -log(U1 U2) / 2
-        for independent uniforms U1, U2 and a standard normal Z (Devroye,
-        Non-Uniform Random Variate Generation, 1986, ch. IX).  ``rng``
-        fills U1, then U2, then Z, each a (count, dim) array.  The uniforms
-        lie in [0, 1) as drawn, so U1 U2 < 1 and V is never 0; a zero
-        uniform gives V = inf and the coordinate 0, which is finite.
+        The median B of three independent uniforms is Beta(2, 2), and
+        (2B - 1) / sqrt(B (1 - B)) is then a t4 variate (symmetric-beta form
+        of Student's t; Devroye, Non-Uniform Random Variate Generation, 1986,
+        ch. IX), with 1 + z^2 / 4 = 1 / (4 B (1 - B)).  ``rng`` fills one
+        (3, count, dim) array of uniforms: all first uniforms, then all
+        second, then all third.  They lie in [0, 1), so B < 1; a B of 0 (two
+        zero uniforms) is read as the smallest positive uniform, 2^-53,
+        which gives a finite coordinate of about -9.5e7 scale.
         """
-        shape = (count, self.dim)
-        x = rng.random(shape)
-        v = rng.random(shape)
-        v *= x
-        with np.errstate(divide="ignore"):      # log(0) = -inf: V = inf
-            np.log(v, out=v)
-        np.divide(-2.0 * self.scale * self.scale, v, out=v)
-        np.sqrt(v, out=v)
-        rng.standard_normal(out=x)
-        x *= v
+        a, b, c = rng.random((3, count, self.dim))
+        x = np.minimum(a, b)
+        np.maximum(a, b, out=a)
+        np.minimum(a, c, out=a)
+        np.maximum(x, a, out=x)                 # B, the median
+        np.maximum(x, _SMALLEST_UNIFORM, out=x)
+        np.subtract(1.0, x, out=b)
+        b *= x
+        np.sqrt(b, out=b)                       # sqrt(B (1 - B))
+        x -= 0.5
+        x /= b
+        x *= 2.0 * self.scale
         return x
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:

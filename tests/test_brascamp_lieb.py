@@ -9,7 +9,7 @@ from voliso import (BLSystem, Density1D, McParams, bl_ratio, cube_volume_bound,
                     simplex_volume_bound, vrep_from_hrep)
 from voliso.brascamp_lieb import random_system
 from voliso import sampling
-from voliso.sampling import RunningMean, StudentTProposal
+from voliso.sampling import RunningMean, StudentTProposal, row_blocks
 from voliso.shapes import regular_simplex, simplex_contact_directions
 
 MC = McParams(sample_count=400_000, seed=2)
@@ -195,7 +195,10 @@ class TestFusedIntegrand:
         est = bl_ratio(system, densities, McParams(count, seed=9))
         got, = added
         proposal = StudentTProposal(dim=system.dim)
-        X = proposal.sample(np.random.default_rng(9), count)
+        rng = np.random.default_rng(9)
+        # one batch, drawn one row block at a time as sample_mean draws it
+        X = np.concatenate([proposal.sample(rng, hi - lo)
+                            for lo, hi in row_blocks(count)])
         df, s = 4.0, proposal.scale
         log_q = system.dim * (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
                               - 0.5 * math.log(df * math.pi) - math.log(s)) \

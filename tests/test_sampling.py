@@ -20,7 +20,7 @@ from voliso import (BLSystem, Density1D, McParams, SubspaceSpec, WeightedLpGauge
 from voliso import sampling
 from voliso.brascamp_lieb import random_system
 from voliso.sampling import (BATCH, ROW_BLOCK, RunningMean, StudentTProposal,
-                             map_batches, sample_mean, sphere_points)
+                             map_batches, row_blocks, sample_mean, sphere_points)
 from voliso.shapes import cross_polytope, cube_vertices, regular_polygon
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -48,10 +48,6 @@ def _uniform(rng, size):
     return rng.uniform(size=size)
 
 
-def _identity(batch):
-    return batch
-
-
 def _record_starts(monkeypatch):
     starts = []
     original = threading.Thread.start
@@ -64,7 +60,7 @@ def _record_starts(monkeypatch):
 def test_batches_draw_what_drawing_in_turn_draws(total):
     # batch 0 from the seeded generator, batch k >= 1 from the k-th spawned
     # child, each the variates of drawing its own stream in turn
-    got = list(map_batches(5, _uniform, _identity, total))
+    got = list(map_batches(5, _uniform, total))
     sizes = [BATCH] * (total // BATCH) + ([total % BATCH] if total % BATCH else [])
     assert [len(b) for b in got] == sizes
     children = np.random.SeedSequence(5).spawn(len(sizes) - 1)
@@ -78,14 +74,14 @@ def test_batch_zero_continues_the_given_generator():
     rng.uniform(size=3)
     reference = np.random.default_rng(8)
     reference.uniform(size=3)
-    first = next(iter(map_batches(8, _uniform, _identity, 2 * BATCH, rng)))
+    first = next(iter(map_batches(8, _uniform, 2 * BATCH, rng)))
     assert np.array_equal(first, reference.uniform(size=BATCH))
     # nothing was drawn from it past batch 0
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_no_batches_for_no_samples():
-    assert list(map_batches(0, _uniform, _identity, 0)) == []
+    assert list(map_batches(0, _uniform, 0)) == []
 
 
 @pytest.mark.parametrize("name", ["bl_ratio", "cauchy_surface_area",
@@ -215,7 +211,7 @@ def test_error_in_draw_reaches_caller(monkeypatch):
     baseline = threading.active_count()
     seen = []
     with pytest.raises(ValueError, match="draw failed"):
-        for batch in map_batches(0, draw, _identity, 3 * BATCH + 17):
+        for batch in map_batches(0, draw, 3 * BATCH + 17):
             seen.append(len(batch))
     assert seen == [BATCH] * 3
     assert threading.active_count() == baseline
@@ -226,12 +222,12 @@ def test_worker_is_joined_when_caller_stops_early(monkeypatch):
     starts = _record_starts(monkeypatch)
     evaluated = []
 
-    def evaluate(batch):
-        evaluated.append(len(batch))
-        return batch
+    def batch(stream, size):
+        evaluated.append(size)
+        return _uniform(stream, size)
 
     baseline = threading.active_count()
-    batches = map_batches(0, _uniform, evaluate, 20 * BATCH)
+    batches = map_batches(0, batch, 20 * BATCH)
     assert len(next(batches)) == BATCH
     batches.close()
     assert len(starts) == 2
@@ -256,7 +252,7 @@ def test_a_free_thread_takes_the_next_batch(monkeypatch):
             batch_two_drawn.set()
         return stream.uniform(size=size)
 
-    sizes = [len(b) for b in map_batches(0, draw, _identity, 2 * BATCH + 1, rng)]
+    sizes = [len(b) for b in map_batches(0, draw, 2 * BATCH + 1, rng)]
     assert sizes == [BATCH, BATCH, 1]
     assert waited == [True]
 
@@ -296,7 +292,7 @@ def _column(rng, size):
 def test_sample_mean_hands_the_integrand_row_blocks_in_order(total, monkeypatch):
     # one CPU, so the blocks are recorded in the order they are evaluated
     monkeypatch.setattr(sampling, "available_cpus", lambda: 1)
-    blocks, added = [], []
+    blocks, added, calls = [], [], []
 
     class Recorded(RunningMean):
         def add(self, values):
@@ -305,12 +301,17 @@ def test_sample_mean_hands_the_integrand_row_blocks_in_order(total, monkeypatch)
 
     monkeypatch.setattr(sampling, "RunningMean", Recorded)
 
+    def draw(rng, size):
+        calls.append(("draw", size))
+        return _column(rng, size)
+
     def integrand(X):
+        calls.append(("integrand", len(X)))
         blocks.append(X[:, 0].copy())
         return X[:, 0]
 
-    acc = sample_mean(5, _column, integrand, total)
-    batches = [X[:, 0] for X in map_batches(5, _column, _identity, total)]
+    acc = sample_mean(5, draw, integrand, total)
+    batches = [X[:, 0] for X in map_batches(5, _column, total)]
     # each batch is cut into blocks of at most ROW_BLOCK rows, or ROW_BLOCK + 1
     # when it ends one row past a block, and never ends on a one-row block
     # after a longer one
@@ -329,6 +330,9 @@ def test_sample_mean_hands_the_integrand_row_blocks_in_order(total, monkeypatch)
         assert inner[-1] > 1 or len(inner) == 1
         start = stop
     assert start == len(blocks)
+    # each block is drawn just before its integrand runs
+    assert calls == [(name, size) for size in sizes
+                     for name in ("draw", "integrand")]
     # the blocks tile the batches in order, and their values come back to
     # their rows: each batch array folded is the batch itself
     assert np.array_equal(np.concatenate(blocks), np.concatenate(batches))
@@ -351,6 +355,26 @@ def test_logpdf_matches_the_sum_of_log1p():
     np.testing.assert_allclose(proposal.logpdf(x), reference, rtol=1e-13, atol=1e-13)
 
 
+def _medians(rng, count, dim):
+    """B, the median of the three uniforms behind each coordinate, read as
+    ``StudentTProposal.sample`` reads them."""
+    return np.median(rng.random((3, count, dim)), axis=0)
+
+
+def test_logpdf_of_a_sample_is_its_beta_form():
+    # 1 + z^2 / 4 = 1 / (4 B (1 - B)) for z = (2B - 1) / sqrt(B (1 - B)), so
+    # the t4 density at a sample is d const + (5/2) sum log(4 B (1 - B)); a
+    # wrong scale or law in either function breaks the equality
+    proposal = StudentTProposal(dim=4, scale=1.7)
+    x = proposal.sample(np.random.default_rng(37), 20_000)
+    B = _medians(np.random.default_rng(37), 20_000, 4)
+    df = 4.0
+    const = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
+             - 0.5 * math.log(df * math.pi) - math.log(1.7))
+    expected = 4 * const + 2.5 * np.log(4.0 * B * (1.0 - B)).sum(axis=1)
+    np.testing.assert_allclose(proposal.logpdf(x), expected, rtol=0.0, atol=1e-12)
+
+
 def test_sample_coordinates_follow_t4():
     # seed and p-value floor fixed before the first run
     proposal = StudentTProposal(dim=4, scale=1.3)
@@ -359,40 +383,48 @@ def test_sample_coordinates_follow_t4():
         assert stats.kstest(column, stats.t(4).cdf).pvalue >= 1e-3
 
 
-def test_sample_reads_u1_u2_then_z():
+def test_sample_reads_three_uniforms_per_coordinate():
     proposal = StudentTProposal(dim=3, scale=1.3)
     rng = np.random.default_rng(31)
     x = proposal.sample(rng, 1000)
     reference = np.random.default_rng(31)
-    u1 = reference.random((1000, 3))
-    u2 = reference.random((1000, 3))
-    z = reference.standard_normal((1000, 3))
-    np.testing.assert_allclose(x, 1.3 * z * np.sqrt(-2.0 / np.log(u1 * u2)),
+    B = _medians(reference, 1000, 3)
+    np.testing.assert_allclose(x, 1.3 * (2.0 * B - 1.0) / np.sqrt(B * (1.0 - B)),
                                rtol=1e-14, atol=0.0)
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class _ZeroUniforms:
-    """A generator whose uniforms are all 0 and whose normals are all 1."""
+    """A generator whose uniforms are all 0."""
 
     def random(self, size):
         return np.zeros(size)
 
-    def standard_normal(self, out):
-        out[...] = 1.0
-        return out
 
-
-def test_zero_uniforms_give_zero_coordinates():
-    # U1 U2 = 0 gives V = inf: the coordinate is 0, not a nan or a warning
+def test_zero_uniforms_give_finite_coordinates():
+    # a median B = 0 would give -inf: it is read as the least positive
+    # uniform, 2^-53, with no warning and a finite density
     proposal = StudentTProposal(dim=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x = proposal.sample(_ZeroUniforms(), 5)
         log_q = proposal.logpdf(x)
+    least = 2.0 ** -53
     assert x.shape == (5, 3)
-    assert np.all(x == 0.0)
+    np.testing.assert_allclose(x, 1.5 * (2.0 * least - 1.0) / math.sqrt(least * (1.0 - least)),
+                               rtol=1e-14)
     assert np.all(np.isfinite(log_q))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_sphere_points_drawn_per_block_are_the_rows_of_one_draw(dim):
+    # why per-block draws left the Cauchy and Petty estimates' bits alone
+    for rows in (ROW_BLOCK + 2, BATCH):
+        whole = sphere_points(np.random.default_rng(dim), rows, dim)
+        stream = np.random.default_rng(dim)
+        blocks = [sphere_points(stream, hi - lo, dim) for lo, hi in row_blocks(rows)]
+        assert len(blocks) > 1
+        assert np.array_equal(np.concatenate(blocks), whole)
 
 
 def test_running_mean_variance_matches_two_passes():
