@@ -345,10 +345,6 @@ class Ellipsoid:
         object.__setattr__(self, "shape", _readonly(B))
         object.__setattr__(self, "center", _readonly(d))
 
-    @classmethod
-    def unit_ball(cls, n: int) -> "Ellipsoid":
-        return cls(np.eye(n))
-
     @property
     def dim(self) -> int:
         return self.shape.shape[0]
@@ -494,13 +490,12 @@ def polytope_to_dict(body) -> dict:
 
 
 def polytope_from_dict(data: dict):
-    json_fields(data, "polytope")
-    kind = data.get("kind")
-    n = json_number(data.get("dim", 0), "polytope dim")
+    dim, kind, rows = json_fields(data, "polytope", "dim", "kind", "rows")
+    n = json_number(dim, "polytope dim")
     if not n.is_integer():
         raise ValueError(f"polytope dim must be a whole number, not {n}")
     n = int(n)
-    rows = json_numbers(data.get("rows", []), "polytope rows")
+    rows = json_numbers(rows, "polytope rows")
     if kind == "H":
         if rows.ndim != 2 or rows.shape[1] != n + 1:
             raise ValueError("H rows must be [a_1..a_n, b]")

@@ -40,19 +40,24 @@ _RADIUS_PROBE_COUNT = 1000
 _RADIUS_PROBE_TOL = 1e-9
 
 
+def _log_lp_ball_volume(n: int, p: float) -> float:
+    """log of the l_p unit ball volume, n log 2 + n lgamma(1+1/p) -
+    lgamma(1+n/p); p = inf gives the cube's n log 2."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    return (n * math.log(2.0) + n * math.lgamma(1.0 + 1.0 / p)
+            - math.lgamma(1.0 + n / p))
+
+
 def lp_ball_volume(n: int, p: float) -> float:
     """Volume of the l_p unit ball, 2^n Gamma(1+1/p)^n / Gamma(1+n/p).
 
     p = inf gives the cube volume 2^n.  Evaluated in log-Gamma space.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if p == math.inf:
-        return 2.0 ** n
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return math.exp(n * math.log(2.0) + n * math.lgamma(1.0 + 1.0 / p)
-                    - math.lgamma(1.0 + n / p))
+    log_volume = _log_lp_ball_volume(n, p)
+    return 2.0 ** n if p == math.inf else math.exp(log_volume)
 
 
 def lp_ball_inscribed_radius(n: int, p: float) -> float:
@@ -65,9 +70,15 @@ def lp_ball_inscribed_radius(n: int, p: float) -> float:
 
 
 def lp_ball_volume_ratio(n: int, p: float) -> float:
-    """vr of l_p^n: ball volume over the inscribed-ball volume, n-th root."""
-    rho = lp_ball_inscribed_radius(n, p)
-    return (lp_ball_volume(n, p) / (unit_ball_volume(n) * rho ** n)) ** (1.0 / n)
+    """vr of l_p^n: ball volume over the inscribed-ball volume, n-th root.
+
+    Evaluated in log space, (log|B_p^n| - log v_n - n log rho) / n with
+    log rho = min(0, 1/2 - 1/p) log n, so it stays finite for any n.
+    """
+    log_ball = _log_lp_ball_volume(n, p)      # raises on n < 1 or p < 1
+    log_vn = 0.5 * n * math.log(math.pi) - math.lgamma(1.0 + 0.5 * n)
+    log_rho = min(0.0, 0.5 - 1.0 / p) * math.log(n)
+    return math.exp((log_ball - log_vn - n * log_rho) / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,10 +168,8 @@ def product_volume_bound(weights, alphas, p: float, n: int | None = None) -> flo
         raise ValueError(f"weights sum to {c.sum():.12g}, expected {n}")
     if np.any(a <= 0) or np.any(c <= 0):
         raise ValueError("weights and alphas must be positive")
-    log_bound = (n * math.log(2.0) + n * math.lgamma(1.0 + 1.0 / p)
-                 - math.lgamma(1.0 + n / p)
-                 + float(np.dot(c / p, np.log(c) - np.log(a))))
-    return math.exp(log_bound)
+    return math.exp(_log_lp_ball_volume(n, p)
+                    + float(np.dot(c / p, np.log(c) - np.log(a))))
 
 
 @dataclass(frozen=True)
@@ -314,7 +323,7 @@ def lewis_position(spec: SubspaceSpec) -> LewisPosition:
 def inscribed_radius_check(gauge: WeightedLpGauge) -> float:
     """Guaranteed Euclidean ball radius inside a Lewis-position unit ball.
 
-    Returns n^{1/2 - 1/p} for p <= 2 and 1 for p > 2, after verifying
+    Returns n^{1/2 - 1/p} for p <= 2 and 1 for p >= 2, after verifying
     gauge(x) <= |x| / radius on ``_RADIUS_PROBE_COUNT`` seeded random unit
     vectors (the two Hoelder cases); a violation beyond ``_RADIUS_PROBE_TOL``
     signals an invalid decomposition.
@@ -367,12 +376,7 @@ def l1_vr_bound(n: int) -> L1VolumeRatioBound:
     """Upper bound for volume ratios of n-dimensional subspaces of L_1.
 
     The exact bound is vr(l_1^n) = (2^n n^{n/2} Gamma(1+n/2) /
-    (Gamma(1+n) pi^{n/2}))^{1/n}; it increases to sqrt(2e/pi) = 1.31549...
+    (Gamma(1+n) pi^{n/2}))^{1/n}, ``lp_ball_volume_ratio(n, 1)``; it
+    increases to sqrt(2e/pi) = 1.31549...
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    log_vn = 0.5 * n * math.log(math.pi) - math.lgamma(1.0 + 0.5 * n)
-    log_ball = n * math.log(2.0) - math.lgamma(n + 1.0)   # |B_1^n| = 2^n / n!
-    log_rho_n = -0.5 * n * math.log(n)                    # inscribed radius^n
-    exact = math.exp((log_ball - log_vn - log_rho_n) / n)
-    return L1VolumeRatioBound(exact=exact, limit=L1_VR_LIMIT)
+    return L1VolumeRatioBound(exact=lp_ball_volume_ratio(n, 1.0), limit=L1_VR_LIMIT)

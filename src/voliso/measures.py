@@ -101,7 +101,10 @@ def cauchy_surface_area(V: VPolytope, mc: McParams) -> Estimate:
     |boundary| = (n v_n / v_{n-1}) * mean over uniform theta of |shadow|.
     The mean is ``sampling.sample_mean``'s: batch 0 on
     ``np.random.default_rng(mc.seed)``, batch k >= 1 on a stream spawned
-    from ``mc.seed``.
+    from ``mc.seed``.  By linearity its expectation is ``surface_area(V)``
+    for every body, so it measures only the direction sampler; it stays
+    only for the benchmark's ``mc-estimators`` items, until the benchmark is
+    refreshed.
     """
     n = V.dim
     factor = n * unit_ball_volume(n) / unit_ball_volume(n - 1)

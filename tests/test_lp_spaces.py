@@ -306,6 +306,25 @@ class TestL1Bound:
         assert l1_vr_bound(50).exact == pytest.approx(L1_VR_LIMIT, rel=0.02)
         assert L1_VR_LIMIT == pytest.approx(1.31549, abs=1e-5)
 
+    def test_is_lp_ball_volume_ratio_at_p1_bit_for_bit(self):
+        for n in range(1, 301):
+            # (2^n n^{n/2} Gamma(1+n/2) / (Gamma(1+n) pi^{n/2}))^{1/n} in logs
+            log_closed = (n * math.log(2.0) - math.lgamma(n + 1.0)
+                          - (0.5 * n * math.log(math.pi) - math.lgamma(1.0 + 0.5 * n))
+                          + 0.5 * n * math.log(n))
+            assert l1_vr_bound(n).exact == math.exp(log_closed / n)
+            assert lp_ball_volume_ratio(n, 1.0) == l1_vr_bound(n).exact
+
+    @pytest.mark.parametrize("n, p", [(200, 1.0), (400, 1.5)])
+    def test_ratio_finite_below_limit_in_high_dimension(self, n, p):
+        # vr(l_p^n) increases to 2 Gamma(1+1/p) (p e)^{1/p} / sqrt(2 pi e)
+        # for 1 <= p <= 2, which is sqrt(2e/pi) at p = 1
+        limit = (2.0 * math.gamma(1.0 + 1.0 / p) * (p * math.e) ** (1.0 / p)
+                 / math.sqrt(2.0 * math.pi * math.e))
+        vr = lp_ball_volume_ratio(n, p)
+        assert math.isfinite(vr)
+        assert lp_ball_volume_ratio(n // 2, p) < vr < limit
+
 
 class TestSubspaceSpecIO:
     def test_round_trip(self):
