@@ -233,10 +233,15 @@ def bl_ratio(system: BLSystem, densities, mc: McParams) -> Estimate:
     family, exponential ones included); the right side uses the densities'
     exact integrals.  The mean is ``sampling.sample_mean``'s: batch 0 on
     ``np.random.default_rng(mc.seed)``, batch k >= 1 on a stream spawned
-    from ``mc.seed``.  A block of rows X is evaluated as one fused
-    integrand over D = U X^T, one row per density: the log numerator is the
-    sum of ((c alpha) t + c beta) t over the densities' quadratic log forms
-    (``Density1D.log_quadratic``) plus c log f(t) of every table, and rows
+    from ``mc.seed``.  A block of rows x is weighed from one product
+    D = G x^T.  With the densities' quadratic log forms
+    (``Density1D.log_quadratic``), log f_i(t) = alpha_i t^2 + beta_i t on
+    the support, every alpha_i <= 0, so sum c_i alpha_i <u_i, x>^2 = -|R x|^2
+    for the triangular factor R of the rows sqrt(-c_i alpha_i) u_i, and
+    sum c_i beta_i <u_i, x> = <l, x> for l = sum c_i beta_i u_i.  G stacks
+    R (at most d rows), l, and the u_i of every bounded support and every
+    table.  The log weight is -|R x|^2 + <l, x> plus c log f(t) of every
+    table, less log RHS and the log density the proposal drew with x; rows
     outside some density's support weigh 0.  For a valid system the
     estimate never exceeds 1 + 3 std_error up to Monte Carlo noise.
     """
@@ -247,34 +252,44 @@ def bl_ratio(system: BLSystem, densities, mc: McParams) -> Estimate:
     log_rhs = float(np.dot(c, [math.log(f.integral) for f in densities]))
     proposal = StudentTProposal(dim=system.dim)
     forms = [f.log_quadratic() for f in densities]
-    terms = [(i, c[i] * form[0], c[i] * form[1]) for i, form in enumerate(forms)
-             if form is not None and (form[0] or form[1])]
-    tables = [(i, f) for i, (f, form) in enumerate(zip(densities, forms))
-              if form is None]
-    lower = [(i, form[2]) for i, form in enumerate(forms)
-             if form is not None and form[2] > -math.inf]
-    upper = [(i, form[3]) for i, form in enumerate(forms)
-             if form is not None and form[3] < math.inf]
+    curved = [i for i, form in enumerate(forms) if form is not None and form[0]]
+    linear = [i for i, form in enumerate(forms) if form is not None and form[1]]
+    # alpha <= 0 for every tag, so the rows are real and nothing cancels
+    curvature = -c[curved] * [forms[i][0] for i in curved]
+    R = np.linalg.qr(np.sqrt(curvature)[:, None] * U[curved], mode="r")
+    slope = c[linear] * [forms[i][1] for i in linear] @ U[linear]
+    # each table and each support bounded on either side reads its own <u_i, x>
+    projected = [i for i, form in enumerate(forms)
+                 if form is None or form[2] > -math.inf or form[3] < math.inf]
+    head = [R, slope[None, :]] if linear else [R]
+    G = np.concatenate(head + [U[projected]])
+    first = len(G) - len(projected)
+    tables = [(first + k, c[i], densities[i]) for k, i in enumerate(projected)
+              if forms[i] is None]
+    supports = [(first + k, *forms[i][2:]) for k, i in enumerate(projected)
+                if forms[i] is not None]
 
-    def integrand(X):
-        D = U @ X.T                              # (m, rows)
-        log_h = np.zeros(len(X))
-        for i, ca, cb in terms:
-            term = ca * D[i]
-            term += cb
-            term *= D[i]
-            log_h += term
-        for i, f in tables:
+    def integrand(block):
+        X, log_q = block
+        D = G @ X.T                              # (len(G), rows)
+        Rx = D[:len(R)]
+        log_h = -np.einsum("rj,rj->j", Rx, Rx)
+        if linear:
+            log_h += D[len(R)]
+        for r, weight, f in tables:
             # 0^c := 0 for c > 0: -inf * c stays -inf, exp gives 0
-            log_h += c[i] * f.log_density(D[i])
+            log_h += weight * f.log_density(D[r])
         log_h -= log_rhs
-        log_h -= proposal.logpdf(X)
+        log_h -= log_q
         inside = np.ones(len(X), dtype=bool)
-        for i, bound in lower:
-            inside &= D[i] >= bound
-        for i, bound in upper:
-            inside &= D[i] <= bound
-        return np.exp(log_h, out=np.zeros(len(X)), where=inside)
+        for r, lo, hi in supports:
+            if lo > -math.inf:
+                inside &= D[r] >= lo
+            if hi < math.inf:
+                inside &= D[r] <= hi
+        # rows outside a support may overflow; they weigh 0 all the same
+        with np.errstate(over="ignore"):
+            return np.where(inside, np.exp(log_h), 0.0)
 
     acc = sample_mean(mc.seed, proposal.sample, integrand, mc.sample_count)
     return Estimate(acc.mean, acc.std_error, mc.sample_count)

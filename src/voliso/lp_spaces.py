@@ -145,8 +145,9 @@ def gauge_integral_volume(gauge: WeightedLpGauge, mc: McParams) -> Estimate:
     scale = float(np.median(radii)) * max(1.0, (n / p) ** (1.0 / p)) * 1.3
     proposal = StudentTProposal(dim=n, scale=scale)
 
-    def integrand(X):
-        return np.exp(-gauge(X) ** p - proposal.logpdf(X))
+    def integrand(block):
+        X, log_q = block
+        return np.exp(-gauge(X) ** p - log_q)
 
     acc = sample_mean(mc.seed, proposal.sample, integrand, mc.sample_count, rng)
     norm = math.exp(-math.lgamma(1.0 + n / p))

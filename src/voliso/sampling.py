@@ -18,8 +18,10 @@ generators and its pool, so estimators stay safe to call concurrently.
 ``StudentTProposal`` draws a block of ``count`` rows from its stream as one
 (3, count, dim) array of uniforms and makes each t4 coordinate
 scale (2B - 1) / sqrt(B (1 - B)) from the median B of its three uniforms:
-no normal, no log and no rejection loop, so a block reads a fixed number of
-variates.
+no normal and no rejection loop, so a block reads a fixed number of
+variates.  The block comes with the proposal's log density at its rows,
+one log per row of prod_j 4 B_j (1 - B_j), so an importance weight takes
+no second pass over the rows to find it.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bodies import _row_norms
 
 BATCH = 1 << 16
 _STUDENT_DF = 4.0   # degrees of freedom of each StudentTProposal coordinate
@@ -128,7 +131,8 @@ def sphere_points(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     normals fill the rows in turn, so blocks drawn one after another give
     the rows of one draw of all of them."""
     x = rng.standard_normal((count, dim))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    x /= _row_norms(x)[:, None]
+    return x
 
 
 @dataclass(frozen=True)
@@ -146,13 +150,17 @@ class StudentTProposal:
     dim: int
     scale: float = 1.5
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` rows drawn as X = scale (2B - 1) / sqrt(B (1 - B)).
+    def sample(self, rng: np.random.Generator,
+               count: int) -> tuple[np.ndarray, np.ndarray]:
+        """(X, log_q): ``count`` rows X = scale (2B - 1) / sqrt(B (1 - B))
+        and the proposal's log density at each of them.
 
         The median B of three independent uniforms is Beta(2, 2), and
         (2B - 1) / sqrt(B (1 - B)) is then a t4 variate (symmetric-beta form
         of Student's t; Devroye, Non-Uniform Random Variate Generation, 1986,
-        ch. IX), with 1 + z^2 / 4 = 1 / (4 B (1 - B)).  ``rng`` fills one
+        ch. IX).  Since 1 + z^2 / 4 = 1 / (4 B (1 - B)) exactly,
+        log_q = dim const + (5/2) log prod_j 4 B_j (1 - B_j), with one log
+        per row, equals ``logpdf(X)`` up to rounding.  ``rng`` fills one
         (3, count, dim) array of uniforms: all first uniforms, then all
         second, then all third.  They lie in [0, 1), so B < 1; a B of 0 (two
         zero uniforms) is read as the smallest positive uniform, 2^-53,
@@ -165,19 +173,24 @@ class StudentTProposal:
         np.maximum(x, a, out=x)                 # B, the median
         np.maximum(x, _SMALLEST_UNIFORM, out=x)
         np.subtract(1.0, x, out=b)
-        b *= x
+        b *= x                                  # B (1 - B), about 2^-53 or more
+        prod = b[:, 0].copy()
+        for j in range(1, self.dim):
+            prod *= b[:, j]
+        prod *= 4.0 ** self.dim                 # exact while prod stays normal
+        log_q = np.log(prod, out=prod)
+        log_q *= 0.5 * (_STUDENT_DF + 1)
+        log_q += self._log_norm()
         np.sqrt(b, out=b)                       # sqrt(B (1 - B))
         x -= 0.5
         x /= b
         x *= 2.0 * self.scale
-        return x
+        return x, log_q
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
         """Log density at the rows of ``x``, with one log per row of
         prod_j (1 + z_j^2 / df), z = x / scale."""
         df, s = _STUDENT_DF, self.scale
-        const = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
-                 - 0.5 * math.log(df * math.pi) - math.log(s))
         q = np.asarray(x, dtype=float) / s
         q *= q
         q /= df
@@ -185,7 +198,13 @@ class StudentTProposal:
         prod = q[:, 0].copy()
         for j in range(1, q.shape[1]):
             prod *= q[:, j]
-        return self.dim * const - 0.5 * (df + 1) * np.log(prod)
+        return self._log_norm() - 0.5 * (df + 1) * np.log(prod)
+
+    def _log_norm(self) -> float:
+        """dim times the log normalising constant of one scaled t coordinate."""
+        df, s = _STUDENT_DF, self.scale
+        return self.dim * (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
+                           - 0.5 * math.log(df * math.pi) - math.log(s))
 
 
 class RunningMean:

@@ -113,6 +113,19 @@ four ``bl`` families of one d share their variates (bl-d2-*-196625 read
 the 11 lines of one sample, 8 moved; bl-d2-exponential-1,
 bl-d3-exponential-1 and bl-d3-indicator-1 stayed at 0.0,
 bl-d2-indicator-1 went to 0.0 and bl-d3-table-1 left it.
+
+21 ``bl-*`` and ``subspace-*`` lines were re-pinned when
+``StudentTProposal.sample`` came to return each block with its own log
+density, from the 4 B (1 - B) of its draw, and ``bl_ratio`` came to sum the
+Gaussian terms as -|R x|^2 over one triangular factor R and the linear
+terms as one <l, x>.  The variates kept every bit; only the rounding of
+each weight moved, so every move is a few ulps: the largest relative move
+of a value is 1.0e-15 (bl-d3-gaussian-1, 1.0999016854420618 ->
+1.0999016854420607) and of a std_error 4.1e-16 (bl-d3-exponential-8193),
+against the 1e-13 that ``test_brascamp_lieb.TestWeightOracle`` allows each
+weight next to the plain sum of log densities less ``logpdf``.  The
+``cauchy-*`` and ``petty-*`` lines draw no Student-t variate and kept
+their bits.
 """
 from pathlib import Path
 

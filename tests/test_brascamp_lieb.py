@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from voliso.brascamp_lieb import random_system
 from voliso import sampling
 from voliso.sampling import RunningMean, StudentTProposal, row_blocks
 from voliso.shapes import regular_simplex, simplex_contact_directions
+
+from test_batched_estimates import FAMILIES
 
 MC = McParams(sample_count=400_000, seed=2)
 
@@ -176,33 +179,53 @@ FUSED_CASES = {
                         Density1D.gaussian(2.0)]),
     # <u, x> >= 0 and <-u, x> >= 0 leave a line: no sample has support
     "empty-support": (square_system(), [Density1D.exponential()] * 4),
+    # the Gaussians' triangular factor R short of d rows, and empty
+    "fewer-gaussians-than-d": (random_system(3, 5, 11),
+                               [Density1D.gaussian(0.9), Density1D.exponential(),
+                                Density1D.indicator(-1.0, 1.5), TABLE,
+                                Density1D.gaussian(1.4)]),
+    "no-gaussian": (random_system(3, 6, 12),
+                    [Density1D.exponential(), Density1D.indicator(-1.0, 1.5), TABLE,
+                     Density1D.indicator(-0.5, 2.0), TABLE,
+                     Density1D.indicator(-1.5, 1.0)]),
 }
+# the systems and densities of the bl-* lines of batched_estimates.expected
+FUSED_CASES.update({
+    f"d{d}-{family}": (random_system(d, 2 * d, np.random.default_rng(10 + d)),
+                       [FAMILIES[family](i) for i in range(2 * d)])
+    for d in (2, 3) for family in FAMILIES})
+
+
+def _one_batch(system, densities, mc, monkeypatch):
+    """bl_ratio's estimate, the weights of its one batch, and the rows it
+    drew, rebuilt one row block at a time from default_rng(mc.seed) as
+    sample_mean draws them."""
+    added = []
+
+    class Recorded(RunningMean):
+        def add(self, values):
+            added.append(np.array(values))
+            super().add(values)
+
+    monkeypatch.setattr(sampling, "RunningMean", Recorded)
+    est = bl_ratio(system, densities, mc)
+    got, = added
+    proposal = StudentTProposal(dim=system.dim)
+    rng = np.random.default_rng(mc.seed)
+    X = np.concatenate([proposal.sample(rng, hi - lo)[0]
+                        for lo, hi in row_blocks(mc.sample_count)])
+    return est, got, X
 
 
 class TestFusedIntegrand:
     @pytest.mark.parametrize("name", sorted(FUSED_CASES))
     def test_matches_the_per_density_path(self, name, monkeypatch):
+        # the weights from one triangular factor and the draw's own log
+        # density, against sum c_i log f_i(<u_i, x>) - logpdf(x) - log RHS
+        # taken one density at a time
         system, densities = FUSED_CASES[name]
-        added = []
-
-        class Recorded(RunningMean):
-            def add(self, values):
-                added.append(np.array(values))
-                super().add(values)
-
-        monkeypatch.setattr(sampling, "RunningMean", Recorded)
-        count = 20_000
-        est = bl_ratio(system, densities, McParams(count, seed=9))
-        got, = added
-        proposal = StudentTProposal(dim=system.dim)
-        rng = np.random.default_rng(9)
-        # one batch, drawn one row block at a time as sample_mean draws it
-        X = np.concatenate([proposal.sample(rng, hi - lo)
-                            for lo, hi in row_blocks(count)])
-        df, s = 4.0, proposal.scale
-        log_q = system.dim * (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
-                              - 0.5 * math.log(df * math.pi) - math.log(s)) \
-            - 0.5 * (df + 1) * np.log1p((X / s) ** 2 / df).sum(axis=1)
+        est, got, X = _one_batch(system, densities, McParams(20_000, seed=9),
+                                 monkeypatch)
         # the projections are the one product both paths share; a table is
         # steep against its value near its zeros, so its rows amplify any
         # rounding of <u, x>
@@ -211,6 +234,7 @@ class TestFusedIntegrand:
                       in zip(dots, system.weights, densities))
         log_rhs = sum(c * math.log(f.integral)
                       for c, f in zip(system.weights, densities))
+        log_q = StudentTProposal(dim=system.dim).logpdf(X)
         expected = np.exp(log_num - log_rhs - log_q)
         assert np.array_equal(got == 0.0, expected == 0.0)
         # a weight of 1e-270 carries the rounding of its log, about 600 ulps;
@@ -222,6 +246,21 @@ class TestFusedIntegrand:
             assert est.value == 0.0 and not got.any()
         else:
             assert 0 < np.count_nonzero(got) and est.value > 0
+
+    def test_overflow_outside_the_support_warns_nothing(self, monkeypatch):
+        # with weights of 400, exponentials give log weights past the
+        # largest double's log on rows well outside their support
+        system = BLSystem(np.eye(2), [400.0, 400.0])
+        densities = [Density1D.exponential()] * 2
+        mc = McParams(20_000, seed=5)
+        est, _, X = _one_batch(system, densities, mc, monkeypatch)
+        log_q = StudentTProposal(dim=2).logpdf(X)
+        log_h = -(X @ system.vectors.T) @ system.weights - log_q
+        assert np.any(log_h > math.log(np.finfo(float).max))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict = bl_ratio(system, densities, mc)
+        assert strict == est and est.value > 0
 
 
 def gaussian_bl_ratio(system, sigmas):
@@ -318,7 +357,7 @@ class TestLiftToCone:
         rng = np.random.default_rng(21)
         proposal = StudentTProposal(dim=2, scale=2.0)
         for r in (0.5, 1.5, 3.0):
-            pts = proposal.sample(rng, 400_000)
+            pts, _ = proposal.sample(rng, 400_000)
             x = np.hstack([pts, np.full((len(pts), 1), r)])
             dots = x @ lifted.vectors.T
             log_f = np.where(dots >= 0, -dots, -np.inf) @ lifted.weights

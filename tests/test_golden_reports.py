@@ -19,7 +19,11 @@ was re-pinned once more when vr(l_p^n) came to be evaluated in log space,
 with no Monte Carlo figure moved: ``l1_bound.exact`` went, being
 vr(l_1^n) = ``reference_vr`` itself, and ``reference_vr`` moved by 1 ulp,
 1.1283791670955126 -> 1.1283791670955128, the value ``l1_bound.exact``
-had.
+had.  It was re-pinned again when the gauge integral came to subtract the
+log density the Student-t draw returns instead of ``logpdf`` of its rows:
+the volume ratio moved by 1 ulp, 1.1166518643256849 -> 1.116651864325685
+(+2.0e-16), its std_error kept its bits, and both ``bl`` reports kept
+theirs.
 """
 from pathlib import Path
 

@@ -95,8 +95,9 @@ def test_one_batch_draws_the_variates_of_the_seeded_generator(name, monkeypatch)
 
     def sample(self, rng, count):
         proposals.append(self)
-        draws.append(original_sample(self, rng, count))
-        return draws[-1]
+        X, log_q = original_sample(self, rng, count)
+        draws.append(X)
+        return X, log_q
 
     def points(rng, count, dim):
         draws.append(sphere_points(rng, count, dim))
@@ -111,7 +112,7 @@ def test_one_batch_draws_the_variates_of_the_seeded_generator(name, monkeypatch)
         expected = [sphere_points(rng, 1000, 3)]
     else:
         expected = [] if name == "bl_ratio" else [sphere_points(rng, 256, draws[0].shape[1])]
-        expected.append(original_sample(proposals[0], rng, 1000))
+        expected.append(original_sample(proposals[0], rng, 1000)[0])
     assert len(draws) == len(expected)
     assert all(np.array_equal(a, b) for a, b in zip(draws, expected))
 
@@ -347,7 +348,7 @@ def test_sample_mean_hands_the_integrand_row_blocks_in_order(total, monkeypatch)
 
 def test_logpdf_matches_the_sum_of_log1p():
     proposal = StudentTProposal(dim=5, scale=1.3)
-    x = proposal.sample(np.random.default_rng(9), 10_000)
+    x, _ = proposal.sample(np.random.default_rng(9), 10_000)
     df = 4.0
     const = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
              - 0.5 * math.log(df * math.pi) - math.log(1.3))
@@ -366,7 +367,7 @@ def test_logpdf_of_a_sample_is_its_beta_form():
     # the t4 density at a sample is d const + (5/2) sum log(4 B (1 - B)); a
     # wrong scale or law in either function breaks the equality
     proposal = StudentTProposal(dim=4, scale=1.7)
-    x = proposal.sample(np.random.default_rng(37), 20_000)
+    x, _ = proposal.sample(np.random.default_rng(37), 20_000)
     B = _medians(np.random.default_rng(37), 20_000, 4)
     df = 4.0
     const = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
@@ -378,7 +379,7 @@ def test_logpdf_of_a_sample_is_its_beta_form():
 def test_sample_coordinates_follow_t4():
     # seed and p-value floor fixed before the first run
     proposal = StudentTProposal(dim=4, scale=1.3)
-    x = proposal.sample(np.random.default_rng(23), 1 << 16) / 1.3
+    x = proposal.sample(np.random.default_rng(23), 1 << 16)[0] / 1.3
     for column in x.T:
         assert stats.kstest(column, stats.t(4).cdf).pvalue >= 1e-3
 
@@ -386,7 +387,7 @@ def test_sample_coordinates_follow_t4():
 def test_sample_reads_three_uniforms_per_coordinate():
     proposal = StudentTProposal(dim=3, scale=1.3)
     rng = np.random.default_rng(31)
-    x = proposal.sample(rng, 1000)
+    x, _ = proposal.sample(rng, 1000)
     reference = np.random.default_rng(31)
     B = _medians(reference, 1000, 3)
     np.testing.assert_allclose(x, 1.3 * (2.0 * B - 1.0) / np.sqrt(B * (1.0 - B)),
@@ -407,13 +408,27 @@ def test_zero_uniforms_give_finite_coordinates():
     proposal = StudentTProposal(dim=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = proposal.sample(_ZeroUniforms(), 5)
+        x, drawn = proposal.sample(_ZeroUniforms(), 5)
         log_q = proposal.logpdf(x)
     least = 2.0 ** -53
     assert x.shape == (5, 3)
     np.testing.assert_allclose(x, 1.5 * (2.0 * least - 1.0) / math.sqrt(least * (1.0 - least)),
                                rtol=1e-14)
     assert np.all(np.isfinite(log_q))
+    # the log density the draw carries holds at the clamp too
+    np.testing.assert_allclose(drawn, log_q, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim, scale", [(1, 0.7), (2, 1.5), (3, 1.5), (6, 2.4)])
+def test_the_draw_carries_the_log_density_of_its_rows(dim, scale):
+    # log_q from 4 B (1 - B) is logpdf at the drawn rows up to rounding,
+    # over a block and a block plus one row
+    proposal = StudentTProposal(dim=dim, scale=scale)
+    rng = np.random.default_rng(41)
+    for count in (ROW_BLOCK, ROW_BLOCK + 1):
+        x, log_q = proposal.sample(rng, count)
+        assert log_q.shape == (count,)
+        np.testing.assert_allclose(log_q, proposal.logpdf(x), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 6])
