@@ -150,7 +150,8 @@ class SolveInfo:
 
 
 def _barrier_tensors(sym, A, b):
-    """Fixed tensors (M, c) of the constraints of the body {Ax <= b}.
+    """Fixed tensors of the constraints of the body {Ax <= b}: the Hessians
+    M as (m (q + n), q + n) and (m, (q + n)^2) views, and c.
 
     In theta = (beta, d), with beta the packed B, each g_i = s_i^2 - |B a_i|^2
     with s_i = b_i - <a_i, d> is quadratic: its gradient is M_i theta + c_i
@@ -166,7 +167,7 @@ def _barrier_tensors(sym, A, b):
     M[:, q:, q:] = 2.0 * outer.reshape(m, n, n)
     c = np.zeros((m, q + n))
     c[:, q:] = -2.0 * b[:, None] * A
-    return M, c
+    return M.reshape(m * (q + n), q + n), M.reshape(m, (q + n) ** 2), c
 
 
 def _interior_point(sym, A, b, theta):
@@ -202,32 +203,31 @@ def _step(sym, A, b, theta, step, alpha):
 
 def _newton_system(sym, tensors, point, lam, weight):
     """Gradients and Newton matrix at an interior point as _interior_point
-    returns it, from the body's _barrier_tensors (M, c).
+    returns it, from the body's _barrier_tensors.
 
-    With W_i = M_i theta + c_i the gradient of g_i, returns the rows
-    [grad f0, sum lam_i W_i] with f0 = -log det B, the W_i, and
+    With W_i = M_i theta + c_i the gradient of g_i, returns grad f0 with
+    f0 = -log det B, the W_i, and
     K = weight hess f0 + sum (lam_i / g_i) W_i W_i^T - sum lam_i M_i.
     Each term of the sums is lam_i g_i times the Hessian of the convex
     -log g_i, so K is positive definite on a bounded body when lam > 0.  With
     lam_i = 1 / g_i they are the derivatives of the barrier
     Phi_t = t f0 - sum log g_i at weight t: its gradient is
-    t rows[0] - rows[1] and its Hessian K.
+    t grad f0 - lam @ W and its Hessian K.
     """
-    M, c = tensors
+    stacked, flat, c = tensors
     q = sym.q
     L, g, theta = point
     m, size = c.shape
     Binv = lapack.dpotrs(L, sym.eye, lower=1)[0].reshape(-1)
-    W = (M.reshape(m * size, size) @ theta).reshape(m, size) + c
-    rows = np.zeros((2, size))
-    rows[0, :q] = -sym.fold * Binv[sym.lower]
-    rows[1] = lam @ W
+    W = (stacked @ theta).reshape(m, size) + c
+    grad = np.zeros(size)
+    grad[:q] = -sym.fold * Binv[sym.lower]
     Ws = W * np.sqrt(lam / g)[:, None]
     K = Ws.T @ Ws
-    K -= (lam @ M.reshape(m, size * size)).reshape(size, size)
+    K -= (lam @ flat).reshape(size, size)
     X = Binv[sym.kron_index]
     K[:q, :q] += (weight * sym.kron_weight) * (X[0] * X[1] + X[2] * X[3])
-    return rows, W, K
+    return grad, W, K
 
 
 def _kkt_certificate(sym, A, b, point, lam, gap):
@@ -280,8 +280,9 @@ def _step_lengths(M, g, step, w, lam, dlam, fraction):
     h = 0.5 * ((M @ step).reshape(len(g), -1) @ step)
     disc = w * w - 4.0 * h * g
     root = (np.sqrt(np.maximum(disc, 0.0)) - w) / (2.0 * g)
-    primal = fraction / max(fraction, float(root.max(initial=0.0, where=disc >= 0.0)))
-    dual = fraction / max(fraction, float((-dlam / lam).max()))
+    primal = fraction / max(fraction, float(np.maximum.reduce(
+        root, initial=0.0, where=disc >= 0.0)))
+    dual = fraction / max(fraction, float(np.maximum.reduce(-dlam / lam)))
     return primal, dual, h
 
 
@@ -323,11 +324,13 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     # barrier's inverse Hessian H^-1 at the start point (Boyd & Vandenberghe
     # 11.3.1), and never below t = 1
     tensors = _barrier_tensors(sym, A, b)
-    stacked = tensors[0].reshape(m * (q + n), q + n)
+    stacked = tensors[0]
     point = _interior_point(sym, A, b, theta)
-    rows, _, H = _newton_system(sym, tensors, point, 1.0 / point[1], 0.0)
-    step, tangent = lapack.dpotrs(_factor(H), rows[::-1].T, lower=1)[0].T
-    t = max(1.0, float(rows[0] @ step) / float(rows[0] @ tangent))
+    lam = 1.0 / point[1]
+    grad, W, H = _newton_system(sym, tensors, point, lam, 0.0)
+    step, tangent = lapack.dpotrs(_factor(H), np.array([lam @ W, grad]).T,
+                                  lower=1)[0].T
+    t = max(1.0, float(grad @ step) / float(grad @ tangent))
     systems = 1
 
     # centre at t with Newton steps on Phi_t, in the scaling of Phi_t / t:
@@ -335,10 +338,10 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     while True:
         _, g, theta = point
         lam = 1.0 / (t * g)
-        rows, W, K = _newton_system(sym, tensors, point, lam, 1.0)
+        grad, W, K = _newton_system(sym, tensors, point, lam, 1.0)
         F = _factor(K)
         systems += 1
-        residual = rows[0] - rows[1]
+        residual = grad - lam @ W
         step = -lapack.dpotrs(F, residual, lower=1)[0]
         if -t * float(residual @ step) / 2.0 <= _CENTRE_TOL or systems >= _MAX_NEWTON:
             break
@@ -350,7 +353,7 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     gap = float(lam @ g)
     while True:
         # predictor: the affine-scaling direction, complementarity target 0
-        dtheta = lapack.dpotrs(F, -rows[0], lower=1)[0]
+        dtheta = lapack.dpotrs(F, -grad, lower=1)[0]
         w = W @ dtheta
         dlam = -lam - (lam / g) * w
         primal, dual, h = _step_lengths(stacked, g, dtheta, w, lam, dlam, 1.0)
@@ -359,7 +362,7 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
         # corrector: the centring target sigma mu, sigma = (mu_aff / mu)^3,
         # less the second-order terms of lam_i g_i along the predictor
         target = ((mu_aff / mu) ** 3 * mu - dlam * w - lam * h) / g
-        dtheta = lapack.dpotrs(F, target @ W - rows[0], lower=1)[0]
+        dtheta = lapack.dpotrs(F, target @ W - grad, lower=1)[0]
         w = W @ dtheta
         dlam = target - lam - (lam / g) * w
         alpha, dual, _ = _step_lengths(stacked, g, dtheta, w, lam, dlam,
@@ -373,7 +376,7 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
             # certificate is above _KKT_TARGET, down to a gap of _GAP_FLOOR
             if kkt <= _KKT_TARGET or gap <= _GAP_FLOOR or systems >= _MAX_NEWTON:
                 break
-        rows, W, K = _newton_system(sym, tensors, point, lam, 1.0)
+        grad, W, K = _newton_system(sym, tensors, point, lam, 1.0)
         F = _factor(K)
         systems += 1
 

@@ -126,6 +126,19 @@ against the 1e-13 that ``test_brascamp_lieb.TestWeightOracle`` allows each
 weight next to the plain sum of log densities less ``logpdf``.  The
 ``cauchy-*`` and ``petty-*`` lines draw no Student-t variate and kept
 their bits.
+
+The 15 ``subspace-*`` lines were re-pinned when ``lewis_position`` came to
+take the step 4 / (p + 2) instead of 0.5, from T formed in one row-norm
+pass.  Both stop at |T - I| <= 1e-10, at different points of the same
+fixed point: the Lewis frame is unique only up to a rotation, and the
+gauge, in which the samples are drawn, turned with it (by 1.3e-4 rad on
+``tests/data/subspace_p1.json``).  The lines of one sample moved by at most
+6.0e-6 relative (subspace-p1-1, 0.8974354105142365 -> 0.8974407571412139).
+Every other value moved by at most 2.5e-7 relative and 8.3e-5 of its
+std_error (subspace-p1-65536, 1.161058560080329 -> 1.1610588479386312), and
+every std_error by at most 3.7e-5 relative (subspace-p1-196625,
+0.0020109756651463407 -> 0.0020109005828377025).  The ``bl-*``, ``cauchy-*``
+and ``petty-*`` lines kept their bits.
 """
 from pathlib import Path
 

@@ -23,7 +23,13 @@ had.  It was re-pinned again when the gauge integral came to subtract the
 log density the Student-t draw returns instead of ``logpdf`` of its rows:
 the volume ratio moved by 1 ulp, 1.1166518643256849 -> 1.116651864325685
 (+2.0e-16), its std_error kept its bits, and both ``bl`` reports kept
-theirs.
+theirs.  The ``lp`` report was re-pinned when the Lewis sweep came to take
+the step 4 / (p + 2) instead of 0.5: it stops at another point of the
+fixed point, whose frame is turned by 1.3e-4 rad, so ``lewis_residual``
+went 8.034383107514591e-11 -> 5.71799411788746e-11, the volume ratio
+1.116651864325685 -> 1.1166518059013497 (-5.2e-8 relative, 1.4e-5 of its
+std_error) and its std_error 0.004215545382779356 -> 0.00421562600911398
+(+1.9e-5 relative).
 """
 from pathlib import Path
 

@@ -110,12 +110,12 @@ class TestBarrierDerivatives:
             def barrier(x):
                 # Phi_t = -t log det B - sum log g_i from the point's Cholesky
                 # factor and g; with lam_i = 1 / g_i the system is its
-                # gradient t rows[0] - rows[1] and Hessian K
+                # gradient t grad f0 - lam @ W and Hessian K
                 at = john._interior_point(sym, A, b, x)
                 L, g, _ = at
                 value = -2.0 * t * np.log(L.diagonal()).sum() - np.log(g).sum()
-                (grad0, dual), W, K = john._newton_system(sym, tensors, at, 1.0 / g, t)
-                return value, g, t * grad0 - dual, W, K
+                grad0, W, K = john._newton_system(sym, tensors, at, 1.0 / g, t)
+                return value, g, t * grad0 - (1.0 / g) @ W, W, K
 
             _, _, grad, W, H = barrier(theta)
             h = 1e-6 * b.min()
@@ -148,7 +148,8 @@ class TestBarrierDerivatives:
             lam = rng.uniform(0.1, 10.0, P.num_facets)
             theta = np.concatenate([B[sym.rows, sym.cols], d])
             point = john._interior_point(sym, A, b, theta)
-            (grad0, dual), W, K = john._newton_system(sym, tensors, point, lam, weight)
+            grad0, W, K = john._newton_system(sym, tensors, point, lam, weight)
+            dual = lam @ W
             (ref0, ref_dual), ref_W, ref_K = _direct_newton_system(A, b, B, d, lam,
                                                                    weight)
             for got, want in ((grad0, ref0), (dual, ref_dual), (W, ref_W), (K, ref_K)):
