@@ -19,9 +19,10 @@ from .lp_spaces import (L1_VR_LIMIT, SubspaceSpec, WeightedLpGauge,
                         l1_vr_bound, lewis_position, lp_ball_volume,
                         lp_ball_volume_ratio, product_volume_bound,
                         subspace_volume_ratio, verify_product_volume_bound)
-from .measures import (Estimate, McParams, cauchy_surface_area,
-                       isoperimetric_quotient, petty_functional,
-                       polytope_volume, projection_area, surface_area)
+from .measures import (cauchy_surface_area, isoperimetric_quotient,
+                       petty_functional, polytope_volume, projection_area,
+                       surface_area)
+from .sampling import Estimate, McParams
 from . import shapes
 
 __version__ = "0.1.0"

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import json_fields, json_number, json_numbers, require_finite_rows
-from .measures import Estimate, McParams
-from .sampling import StudentTProposal, sample_mean
+from .sampling import Estimate, McParams, StudentTProposal, sample_mean
 
 # largest |sum c_i u_i| that lift_to_cone accepts as centered
 _BARYCENTER_TOL = 1e-8
@@ -231,19 +230,18 @@ def bl_ratio(system: BLSystem, densities, mc: McParams) -> Estimate:
     The left side is importance-sampled with a product Student-t proposal
     (heavy tails keep the weight variance finite for every tagged density
     family, exponential ones included); the right side uses the densities'
-    exact integrals.  The mean is ``sampling.sample_mean``'s: batch 0 on
-    ``np.random.default_rng(mc.seed)``, batch k >= 1 on a stream spawned
-    from ``mc.seed``.  A block of rows x is weighed from one product
-    D = G x^T.  With the densities' quadratic log forms
-    (``Density1D.log_quadratic``), log f_i(t) = alpha_i t^2 + beta_i t on
-    the support, every alpha_i <= 0, so sum c_i alpha_i <u_i, x>^2 = -|R x|^2
-    for the triangular factor R of the rows sqrt(-c_i alpha_i) u_i, and
-    sum c_i beta_i <u_i, x> = <l, x> for l = sum c_i beta_i u_i.  G stacks
-    R (at most d rows), l, and the u_i of every bounded support and every
-    table.  The log weight is -|R x|^2 + <l, x> plus c log f(t) of every
-    table, less log RHS and the log density the proposal drew with x; rows
-    outside some density's support weigh 0.  For a valid system the
-    estimate never exceeds 1 + 3 std_error up to Monte Carlo noise.
+    exact integrals.  The estimate is ``sampling.sample_mean``'s.  A block
+    of rows x is weighed from one product D = G x^T.  With the densities'
+    quadratic log forms (``Density1D.log_quadratic``), log f_i(t) =
+    alpha_i t^2 + beta_i t on the support, every alpha_i <= 0, so
+    sum c_i alpha_i <u_i, x>^2 = -|R x|^2 for the triangular factor R of
+    the rows sqrt(-c_i alpha_i) u_i, and sum c_i beta_i <u_i, x> = <l, x>
+    for l = sum c_i beta_i u_i.  G stacks R (at most d rows), l, and the
+    u_i of every bounded support and every table.  The log weight is
+    -|R x|^2 + <l, x> plus c log f(t) of every table, less log RHS and the
+    log density the proposal drew with x; rows outside some density's
+    support weigh 0.  For a valid system the estimate passes
+    ``at_most(1.0)`` up to Monte Carlo noise.
     """
     densities = list(densities)
     if len(densities) != system.size:
@@ -291,8 +289,7 @@ def bl_ratio(system: BLSystem, densities, mc: McParams) -> Estimate:
         with np.errstate(over="ignore"):
             return np.where(inside, np.exp(log_h), 0.0)
 
-    acc = sample_mean(mc.seed, proposal.sample, integrand, mc.sample_count)
-    return Estimate(acc.mean, acc.std_error, mc.sample_count)
+    return sample_mean(mc, proposal.sample, integrand)
 
 
 def lift_to_cone(system: BLSystem) -> BLSystem:

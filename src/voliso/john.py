@@ -37,11 +37,15 @@ positive, and SolverError is raised once it falls below 1e-13.
 The stop is certified: once the duality gap sum lam_i g_i is at most
 1e-12, the KKT residual of the iterate's own multipliers must be small
 too (see _kkt_certificate).  The iteration goes on while it is above 1e-8
-(down to a gap of 1e-13), and a result whose residual is above 1e-6
-raises SolverError instead of being returned.  The
-iterates are scale-equivariant but these tolerances are absolute, so the
-solve runs on the body scaled by a power of two to largest offset in
-[0.5, 1): a body gets the same stop in any units.
+(down to a gap of 1e-13).  A solve whose gap closes to 1e-8 with a
+residual still above 1e-6 has stalled: on bodies stretched to axis ratios
+in the hundreds, the iterate's frame is too far from round.  It is solved
+once more on the body mapped by the inverse of the stalled ellipsoid, and
+the answer mapped back.  A result whose residual is still above 1e-6
+raises SolverError instead of being returned.  The iterates are
+scale-equivariant but these tolerances are absolute, so the solve runs on
+the body scaled by a power of two to largest offset in [0.5, 1): a body
+gets the same stop in any units.
 
 A body is in John position when its maximal inscribed ellipsoid is the
 unit ball; contact points are then the facet normals at unit distance, and
@@ -67,6 +71,7 @@ _GAP_TOL = 1e-12           # duality gap sum lam_i g_i of a returned ellipsoid .
 _KKT_TARGET = 1e-8         # ... whose KKT residual the iteration aims for ...
 _GAP_FLOOR = 1e-13         # ... until the gap is this small
 _KKT_TOL = 1e-6            # largest KKT residual of a returned ellipsoid
+_GAP_LIMIT = 1e-8          # largest duality gap of a returned ellipsoid
 _CENTRE_TOL = 1e-2         # on lambda^2 / 2 at the start weight
 _STEP_FRACTION = 0.99      # share of the step to the boundary taken
 _MAX_NEWTON = 200
@@ -136,12 +141,13 @@ class SolveInfo:
 
     ``newton_iterations`` counts the Newton systems factored: the one that
     sets the start weight, those of the centring and one per primal-dual
-    iteration after the first, which reuses the centring's last.
+    iteration after the first, which reuses the centring's last; after a
+    restart (see ``max_inscribed_ellipsoid``) it counts both attempts'.
     ``duality_gap`` is sum lam_i g_i at the returned ellipsoid and
     ``kkt_residual`` its certificate (see _kkt_certificate), both of the
-    body scaled to largest offset in [0.5, 1), as the stop judged them, so
-    they do not depend on the body's units.  A failed solve raises
-    SolverError.
+    attempt that certified, on its body scaled to largest offset in
+    [0.5, 1), as the stop judged them, so they do not depend on the body's
+    units.  A failed solve raises SolverError.
     """
 
     newton_iterations: int
@@ -300,16 +306,44 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
     steps and sets the multipliers lam_i = 1 / (t0 g_i).  From there
     Mehrotra predictor-corrector steps on the primal-dual system, each 0.99
     of the exact step to the boundary, drive the duality gap sum lam_i g_i
-    down (see the module docstring).
+    down (see the module docstring).  A solve that stalls, with its gap at
+    most 1e-8 before the Newton iteration cap but its KKT residual above
+    1e-6, is solved once more on P mapped by the inverse of its ellipsoid
+    E0 = (B0, d0); the answer E1 = (B1, d1) there gives the ellipsoid with
+    shape the symmetric root of B0 B1^2 B0 and centre B0 d1 + d0.
 
     Raises SolverError, and returns no ellipsoid, when the duality gap
     does not close within the Newton iteration cap, when a Newton system
     is singular or indefinite even after regularisation, when a step finds
     no interior point (see the module docstring), or when the KKT
-    residual of the result is above 1e-6.  Tolerances apply to the body
-    scaled by a power of two to largest offset in [0.5, 1), so they do not
-    depend on its units.
+    residual of the result, after the one restart, is above 1e-6.
+    Tolerances apply to the body scaled by a power of two to largest offset
+    in [0.5, 1), so they do not depend on its units.
     """
+    ellipsoid, info = _solve(P)
+    if (info.duality_gap <= _GAP_LIMIT and not info.kkt_residual <= _KKT_TOL
+            and info.newton_iterations < _MAX_NEWTON):
+        # stalled: solve again where E0 is the unit ball; the image of E1
+        # under y -> B0 y + d0 has shape (B0 B1^2 B0)^(1/2)
+        inner, again = _solve(apply_affine(P, ellipsoid.as_map().inverse()))
+        B0 = ellipsoid.shape
+        C = B0 @ inner.shape
+        evals, evecs = np.linalg.eigh(C @ C.T)
+        ellipsoid = Ellipsoid((evecs * np.sqrt(evals)) @ evecs.T,
+                              B0 @ inner.center + ellipsoid.center)
+        info = SolveInfo(info.newton_iterations + again.newton_iterations,
+                         again.duality_gap, again.kkt_residual)
+    if info.duality_gap > _GAP_LIMIT or not info.kkt_residual <= _KKT_TOL:
+        raise SolverError(
+            f"no certified optimum after {info.newton_iterations} Newton "
+            f"systems: duality gap {info.duality_gap:.3e}, KKT residual "
+            f"{info.kkt_residual:.3e}")
+    return (ellipsoid, info) if full_output else ellipsoid
+
+
+def _solve(P: HPolytope):
+    """The ellipsoid and SolveInfo of one primal-dual solve on P, certified
+    or not; SolverError only when a Newton system or step fails."""
     A = P.normals
     m, n = A.shape
     sym = _sym_index(n)
@@ -380,16 +414,8 @@ def max_inscribed_ellipsoid(P: HPolytope, full_output: bool = False):
         F = _factor(K)
         systems += 1
 
-    if gap > 1e-8 or not kkt <= _KKT_TOL:
-        raise SolverError(
-            f"no certified optimum after {systems} Newton systems: "
-            f"duality gap {gap:.3e}, KKT residual {kkt:.3e}")
-    ellipsoid = Ellipsoid(scale * sym.to_matrix(theta[:q]), scale * theta[q:])
-    if full_output:
-        info = SolveInfo(newton_iterations=systems, duality_gap=gap,
-                         kkt_residual=kkt)
-        return ellipsoid, info
-    return ellipsoid
+    return (Ellipsoid(scale * sym.to_matrix(theta[:q]), scale * theta[q:]),
+            SolveInfo(newton_iterations=systems, duality_gap=gap, kkt_residual=kkt))
 
 
 def john_position(P: HPolytope):

@@ -28,8 +28,8 @@ from .bodies import (json_fields, json_number, json_numbers, require_finite_rows
                      unit_ball_volume)
 from .brascamp_lieb import BLSystem
 from .errors import GaugeError, SolverError
-from .measures import Estimate, McParams
-from .sampling import StudentTProposal, sample_mean, sphere_points
+from .sampling import (Estimate, McParams, StudentTProposal, sample_mean,
+                       sphere_points)
 
 L1_VR_LIMIT = math.sqrt(2.0 * math.e / math.pi)
 
@@ -128,10 +128,9 @@ def gauge_integral_volume(gauge: WeightedLpGauge, mc: McParams) -> Estimate:
 
     Estimates Gamma(1+n/p)^{-1} * integral e^{-gauge(x)^p} dx with a product
     Student-t proposal scaled to the ball's radii.  The probe directions
-    and batch 0 of ``sampling.sample_mean`` read
-    ``np.random.default_rng(mc.seed)``, batch k >= 1 a stream spawned from
-    ``mc.seed``.  Raises GaugeError when sampled gauge values put the ball
-    beyond ``gauge.bounding_radius()``.
+    are drawn from ``np.random.default_rng(mc.seed)`` before batch 0 of
+    ``sampling.sample_mean`` reads it.  Raises GaugeError when sampled
+    gauge values put the ball beyond ``gauge.bounding_radius()``.
     """
     n, p, bound = gauge.dim, gauge.p, gauge.bounding_radius()
     rng = np.random.default_rng(mc.seed)
@@ -151,9 +150,9 @@ def gauge_integral_volume(gauge: WeightedLpGauge, mc: McParams) -> Estimate:
         X, log_q = block
         return np.exp(-gauge(X) ** p - log_q)
 
-    acc = sample_mean(mc.seed, proposal.sample, integrand, mc.sample_count, rng)
+    mean = sample_mean(mc, proposal.sample, integrand, rng)
     norm = math.exp(-math.lgamma(1.0 + n / p))
-    return Estimate(norm * acc.mean, norm * acc.std_error, mc.sample_count)
+    return Estimate(norm * mean.value, norm * mean.std_error, mean.samples)
 
 
 def product_volume_bound(weights, alphas, p: float, n: int | None = None) -> float:
@@ -201,7 +200,7 @@ def verify_product_volume_bound(gauge: WeightedLpGauge, weights, mc: McParams) -
     bound = product_volume_bound(decomposition.weights, gauge.system.weights,
                                  gauge.p, gauge.dim)
     return ProductBoundReport(volume=volume, bound=bound,
-                       satisfied=volume.value <= bound + 3.0 * volume.std_error)
+                              satisfied=volume.at_most(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +282,9 @@ def lewis_position(spec: SubspaceSpec) -> LewisPosition:
     Zero rows carry zero weight and are dropped from the returned gauge.
     Raises SolverError, naming p, as soon as T stops being finite or loses
     positive definiteness, and when the iteration does not converge within
-    ``_LEWIS_MAX_ITER`` sweeps.
+    ``_LEWIS_MAX_ITER`` sweeps.  A T not positive definite before the first
+    sweep is named with the range of the weights |r_i|^p, in powers of ten:
+    at large p it exceeds double precision.
     """
     M = spec.basis
     p = spec.p
@@ -309,6 +310,16 @@ def lewis_position(spec: SubspaceSpec) -> LewisPosition:
                 break
             evals, evecs = np.linalg.eigh(T)
             if evals[0] <= 0:
+                if not iteration:
+                    # from the whitened start only the weights' range can
+                    # make T singular
+                    decades = 0.5 * p * np.log10(sq[sq > 0])
+                    raise SolverError(
+                        f"Lewis iteration cannot start at p = {p:g}: the "
+                        f"weights |r_i|^p of the whitened rows span "
+                        f"10^{decades.min():.0f} to 10^{decades.max():.0f}, "
+                        f"beyond double precision, so T is not positive "
+                        f"definite")
                 raise SolverError(
                     f"Lewis iteration diverged at p = {p:g}: the whitening "
                     f"matrix T lost positive definiteness after {iteration} "

@@ -10,52 +10,19 @@ Gram-Schmidt step from that of the face on one facet fewer, with no matrix
 factorization; any other body sums the simplices of qhull's triangulation of
 its vertices, |det [edges; a_i]| / (n - 1)! each, per facet.  The Monte
 Carlo quantities here are spherical means of shadows (Cauchy's surface area,
-Petty's functional): each hands the one Monte Carlo loop,
-``sampling.sample_mean``, a shadow integrand over a block of directions and
-reports the mean with its standard error, as the gauge-ball volume
-``lp_spaces.gauge_integral_volume`` does with its own integrand.
+Petty's functional): each hands ``sampling.sample_mean`` a shadow integrand
+over a block of directions and reports its ``Estimate``.  ``McParams`` and
+``Estimate``, the Monte Carlo contract, live in ``sampling`` and are
+imported here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .bodies import VPolytope, unit_ball_volume
-from .sampling import sample_mean, sphere_points
-
-
-@dataclass(frozen=True)
-class McParams:
-    """Sample budget for one Monte Carlo run.
-
-    The same (seed, sample_count) always reproduces the same estimate bit
-    for bit.  Acceptance-grade runs use at least 1000 samples.
-    """
-
-    sample_count: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be positive")
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """Monte Carlo value reported as value +- std_error over ``samples``."""
-
-    value: float
-    std_error: float
-    samples: int
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "std_error": self.std_error,
-                "samples": self.samples}
-
-    def agrees_with(self, other: float, sigmas: float = 3.0) -> bool:
-        return abs(self.value - other) <= sigmas * self.std_error
+from .sampling import Estimate, McParams, sample_mean, sphere_points
 
 
 def polytope_volume(V: VPolytope) -> float:
@@ -99,18 +66,15 @@ def cauchy_surface_area(V: VPolytope, mc: McParams) -> Estimate:
     """Surface area from the spherical mean of shadow areas.
 
     |boundary| = (n v_n / v_{n-1}) * mean over uniform theta of |shadow|.
-    The mean is ``sampling.sample_mean``'s: batch 0 on
-    ``np.random.default_rng(mc.seed)``, batch k >= 1 on a stream spawned
-    from ``mc.seed``.  By linearity its expectation is ``surface_area(V)``
-    for every body, so it measures only the direction sampler; it stays
-    only for the benchmark's ``mc-estimators`` items, until the benchmark is
-    refreshed.
+    The mean is ``sampling.sample_mean``'s.  By linearity its expectation
+    is ``surface_area(V)`` for every body, so it measures only the direction
+    sampler; it stays only for the benchmark's ``mc-estimators`` items,
+    until the benchmark is refreshed.
     """
     n = V.dim
     factor = n * unit_ball_volume(n) / unit_ball_volume(n - 1)
-    acc = sample_mean(mc.seed, partial(sphere_points, dim=n),
-                      partial(_shadows, V), mc.sample_count)
-    return Estimate(factor * acc.mean, factor * acc.std_error, mc.sample_count)
+    mean = sample_mean(mc, partial(sphere_points, dim=n), partial(_shadows, V))
+    return Estimate(factor * mean.value, factor * mean.std_error, mean.samples)
 
 
 def petty_functional(V: VPolytope, mc: McParams) -> Estimate:
@@ -118,15 +82,13 @@ def petty_functional(V: VPolytope, mc: McParams) -> Estimate:
 
     Estimates (|C|^{n-1} * mean |shadow|^{-n})^{-1/n} by uniform direction
     sampling; minimized by ellipsoids.  The standard error comes from the
-    delta method applied to the inner spherical mean.  The batches run as
-    in ``cauchy_surface_area``.
+    delta method applied to the inner spherical mean, which is
+    ``sampling.sample_mean``'s.
     """
     n = V.dim
     vol = polytope_volume(V)
-    acc = sample_mean(mc.seed, partial(sphere_points, dim=n),
-                      lambda thetas: _shadows(V, thetas) ** (-float(n)),
-                      mc.sample_count)
-    inner = acc.mean
-    value = (vol ** (n - 1) * inner) ** (-1.0 / n)
-    se = value * acc.std_error / (n * inner)
+    inner = sample_mean(mc, partial(sphere_points, dim=n),
+                        lambda thetas: _shadows(V, thetas) ** (-float(n)))
+    value = (vol ** (n - 1) * inner.value) ** (-1.0 / n)
+    se = value * inner.std_error / (n * inner.value)
     return Estimate(value, se, mc.sample_count)

@@ -1,19 +1,23 @@
-"""Seeded Monte Carlo plumbing: proposals, batching, running estimates.
+"""Seeded Monte Carlo: the package's one contract, proposals and batching.
 
-Every estimator in the package is the mean of an integrand that
-``sample_mean`` takes over ``sample_count`` draws in batches of ``BATCH``,
-the last one short.  Batch 0 reads the estimator's own PCG64 generator,
-seeded by ``seed``, so an estimate of one batch draws the same variates as
-a single stream would.  Batch k >= 1 reads a PCG64 stream of its own, seeded
-by the k-th child of ``np.random.SeedSequence(seed).spawn(batches - 1)``.
-``map_batches`` runs each batch on a thread pool of min(batches, available
-CPUs) threads.  A batch draws and evaluates its ROW_BLOCK blocks of rows in
-turn on its own stream, each block just before its integrand, so no
-batch-sized array of variates is ever built.  The batches are folded into a
-``RunningMean`` in batch order, so the variates and the float sums over
-them are fixed by the seed and the sample count: an estimate depends only
-on (seed, sample_count), whatever the thread count.  Each call owns its
-generators and its pool, so estimators stay safe to call concurrently.
+The Monte Carlo contract lives here.  Every estimator takes an ``McParams``
+and returns ``sample_mean``'s ``Estimate``, scaled or by the delta method,
+and every Monte Carlo check is one of its gates, ``at_most``, ``at_least``
+or ``agrees_with``, with ``GATE_SIGMAS`` standard errors of slack.
+
+``sample_mean`` draws in batches of ``BATCH``, the last one short.  Batch 0
+reads the estimator's own PCG64 generator, seeded by ``seed``, so an
+estimate of one batch draws the same variates as a single stream would.
+Batch k >= 1 reads a PCG64 stream of its own, seeded by the k-th child of
+``np.random.SeedSequence(seed).spawn(batches - 1)``, and the batches run on
+the thread pool of ``map_batches``.  A batch draws and evaluates its
+ROW_BLOCK blocks of rows in turn on its own stream, each block just before
+its integrand, so no batch-sized array of variates is ever built.  The
+batches are folded into a ``RunningMean`` in batch order, so the variates
+and the float sums over them are fixed by the seed and the sample count: an
+estimate depends only on (seed, sample_count), whatever the thread count.
+Each call owns its generators and its pool, so estimators stay safe to call
+concurrently.
 
 ``StudentTProposal`` draws a block of ``count`` rows from its stream as one
 (3, count, dim) array of uniforms and makes each t4 coordinate
@@ -28,15 +32,53 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .bodies import _row_norms
 
 BATCH = 1 << 16
+GATE_SIGMAS = 3.0   # standard errors of slack in every Monte Carlo gate
 _STUDENT_DF = 4.0   # degrees of freedom of each StudentTProposal coordinate
 _SMALLEST_UNIFORM = 2.0 ** -53      # the least positive value of rng.random
+
+
+@dataclass(frozen=True)
+class McParams:
+    """Sample budget for one Monte Carlo run.
+
+    The same (seed, sample_count) always reproduces the same estimate bit
+    for bit.  Acceptance-grade runs use at least 1000 samples.
+    """
+
+    sample_count: int
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.sample_count < 1:
+            raise ValueError("sample_count must be positive")
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """Monte Carlo value reported as value +- std_error over ``samples``."""
+
+    value: float
+    std_error: float
+    samples: int
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    def at_most(self, bound: float) -> bool:
+        return bool(self.value <= bound + GATE_SIGMAS * self.std_error)
+
+    def at_least(self, bound: float) -> bool:
+        return bool(self.value >= bound - GATE_SIGMAS * self.std_error)
+
+    def agrees_with(self, other: float) -> bool:
+        return bool(abs(self.value - other) <= GATE_SIGMAS * self.std_error)
 
 
 def available_cpus() -> int:
@@ -108,12 +150,12 @@ def row_blocks(rows: int):
     return zip(bounds, bounds[1:])
 
 
-def sample_mean(seed: int, draw, integrand, total: int, rng=None) -> RunningMean:
-    """RunningMean of ``integrand`` over ``total`` rows of ``draw``, in the
-    batches of ``map_batches(seed, ..., total, rng)``.  Each batch takes its
-    ``row_blocks`` in turn: ``draw(stream, rows)`` draws a block from the
-    batch's stream and ``integrand`` maps it to one value per row, written
-    into one array per batch."""
+def sample_mean(mc: McParams, draw, integrand, rng=None) -> Estimate:
+    """Estimate of the mean of ``integrand`` over ``mc.sample_count`` rows of
+    ``draw``: each batch of ``map_batches(mc.seed, ..., rng)`` takes its
+    ``row_blocks`` in turn, ``draw(stream, rows)`` drawing a block from its
+    stream and ``integrand`` mapping it to one value per row of one array
+    per batch, and the batches fold into a ``RunningMean`` in batch order."""
     def batch(stream, size):
         out = np.empty(size)
         for lo, hi in row_blocks(size):
@@ -121,9 +163,9 @@ def sample_mean(seed: int, draw, integrand, total: int, rng=None) -> RunningMean
         return out
 
     acc = RunningMean()
-    for values in map_batches(seed, batch, total, rng):
+    for values in map_batches(mc.seed, batch, mc.sample_count, rng):
         acc.add(values)
-    return acc
+    return Estimate(acc.mean, acc.std_error, mc.sample_count)
 
 
 def sphere_points(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:

@@ -160,3 +160,44 @@ def test_certificate_sees_a_moved_shape(name, monkeypatch):
     moved = np.concatenate([theta[:sym.q] * (1.0 + 1e-4), theta[sym.q:]])
     assert john._kkt_certificate(sym, A, b, (L * math.sqrt(1.0 + 1e-4), g, moved),
                                  lam, gap) > 1e-6
+
+
+def _stretch(n, rng):
+    """The map Q diag(10^u) Q^T, Q orthogonal and u uniform on
+    [-1.5, 1.5]^n, drawn from ``rng`` in turn."""
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q @ np.diag(10 ** rng.uniform(-1.5, 1.5, n)) @ Q.T
+
+
+def _survey_body(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    return random_polytope(n, rng), _stretch(n, rng)
+
+
+# stretched bodies, axis ratios 103-763, on which the first solve closes its
+# gap but not its certificate (KKT residual 1.2e-6 to 1.9e-4): one 4-D body,
+# and the 11 of survey seeds 0..999 that raised before the restart
+STALLED = {"stretched-4": lambda: (random_polytope(4, 33010),
+                                   _stretch(4, np.random.default_rng(33010))),
+           **{f"survey-{seed}": (lambda seed=seed: _survey_body(seed))
+              for seed in (18, 100, 161, 347, 361, 412, 675, 718, 794, 815, 926)}}
+
+
+@pytest.mark.parametrize("name", list(STALLED))
+def test_stalled_solve_is_finished_in_its_own_frame(name, monkeypatch):
+    P, A = STALLED[name]()
+    solves = []
+    solve = john._solve
+    monkeypatch.setattr(john, "_solve", lambda body: solves.append(body) or solve(body))
+    E, info = max_inscribed_ellipsoid(apply_affine(P, AffineMap(A)), full_output=True)
+    assert len(solves) == 2
+    assert info.duality_gap <= 1e-8 and info.kkt_residual <= 1e-6
+    # John's ellipsoid commutes with A: E is A E(P), whose shape is the
+    # symmetric root of A B^2 A
+    E0 = max_inscribed_ellipsoid(P)
+    evals, evecs = np.linalg.eigh(A @ E0.shape @ E0.shape @ A)
+    shape = (evecs * np.sqrt(evals)) @ evecs.T
+    size = np.abs(shape).max()
+    assert np.abs(E.shape - shape).max() <= 1e-9 * size
+    assert np.abs(E.center - A @ E0.center).max() <= 1e-9 * size

@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -249,15 +248,19 @@ class TestLewisPosition:
                 lewis_position(spec)
 
     def test_divergence_at_large_p_names_itself(self):
-        # at p = 1e6 every weight |r_i|^p of the whitened rows underflows,
-        # so T = 0 is not positive definite: the error says that the
-        # iteration diverged, at which p and after how many sweeps
-        spec = SubspaceSpec(_seeded_subspaces(1.5)[0].basis, 1e6)
-        with pytest.raises(SolverError) as caught:
-            lewis_position(spec)
-        assert re.match(r"Lewis iteration diverged at p = 1e\+06: .* "
-                        r"after 0 sweeps$", str(caught.value))
-        assert "positive definiteness" in str(caught.value)
+        # the whitened rows have norms 0.27-0.74, so at p = 300 their weights
+        # |r_i|^p span more decades than a double resolves, and at p = 1e6
+        # every one underflows: T is not positive definite before the first
+        # sweep, and the error names p and the weights' range
+        basis = _seeded_subspaces(1.5)[0].basis
+        for p, span in [(300.0, "10^-169 to 10^-39"),
+                        (1e6, "10^-564806 to 10^-131452")]:
+            with pytest.raises(SolverError) as caught:
+                lewis_position(SubspaceSpec(basis, p))
+            assert str(caught.value) == (
+                f"Lewis iteration cannot start at p = {p:g}: the weights "
+                f"|r_i|^p of the whitened rows span {span}, beyond double "
+                f"precision, so T is not positive definite")
 
 
 def _seeded_subspaces(p):

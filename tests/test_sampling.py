@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from voliso import (BLSystem, Density1D, McParams, SubspaceSpec, WeightedLpGauge,
-                    bl_ratio, cauchy_surface_area, gauge_integral_volume,
-                    petty_functional, subspace_volume_ratio)
+from voliso import (BLSystem, Density1D, Estimate, McParams, SubspaceSpec,
+                    WeightedLpGauge, bl_ratio, cauchy_surface_area,
+                    gauge_integral_volume, petty_functional, subspace_volume_ratio)
 from voliso import sampling
 from voliso.brascamp_lieb import random_system
 from voliso.sampling import (BATCH, ROW_BLOCK, RunningMean, StudentTProposal,
@@ -311,7 +311,7 @@ def test_sample_mean_hands_the_integrand_row_blocks_in_order(total, monkeypatch)
         blocks.append(X[:, 0].copy())
         return X[:, 0]
 
-    acc = sample_mean(5, draw, integrand, total)
+    est = sample_mean(McParams(total, seed=5), draw, integrand)
     batches = [X[:, 0] for X in map_batches(5, _column, total)]
     # each batch is cut into blocks of at most ROW_BLOCK rows, or ROW_BLOCK + 1
     # when it ends one row past a block, and never ends on a one-row block
@@ -342,7 +342,7 @@ def test_sample_mean_hands_the_integrand_row_blocks_in_order(total, monkeypatch)
     expected = RunningMean()
     for batch in batches:
         expected.add(batch)
-    assert (acc.count, acc.mean, acc.std_error) == (
+    assert (est.samples, est.value, est.std_error) == (
         expected.count, expected.mean, expected.std_error)
 
 
@@ -464,3 +464,19 @@ def test_running_mean_of_one_value_has_no_error():
     acc.add(np.array([2.5]))
     acc.add(np.array([]))
     assert acc.mean == 2.5 and acc.std_error == math.inf
+
+
+# a std_error of 1/4 makes 3 sigma exactly 3/4, so every gate below sits on a
+# dyadic edge: the value 1 = bound +- 3 sigma passes, the next float past fails
+_UP, _DOWN = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("gate, bound, past", [
+    ("at_most", 0.25, _UP),
+    ("at_least", 1.75, _DOWN),
+    ("agrees_with", 0.25, _UP),
+    ("agrees_with", 1.75, _DOWN),
+])
+def test_gates_pass_at_three_sigma_and_fail_one_float_past(gate, bound, past):
+    assert getattr(Estimate(1.0, 0.25, 1000), gate)(bound) is True
+    assert getattr(Estimate(past, 0.25, 1000), gate)(bound) is False
